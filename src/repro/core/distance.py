@@ -1,26 +1,15 @@
-"""Normalized ℓ₁ histogram distance (paper Definition 2) and exact top-k.
+"""Normalized ℓ₁ histogram distance (paper Definition 2).
 
-Two implementations that the tests cross-check against each other and
-against DuckDB:
-
-* numpy — used by the HistSim driver loop on the |V_Z| × |V_X| counts
-  matrix (the paper's statistics engine is likewise in-core);
-* Spark DataFrame — the distributed path: per-candidate histograms via
-  ``GROUP BY``, then the ℓ₁ distance to the target via a join against a
-  (candidate × bin) grid and a ``sum(abs(p − q))`` aggregation.  This is
-  what ``Scan`` (the exact baseline of §5.2) runs, and what computes the
-  "closest candidate to uniform" targets of Table 3.
+numpy over the |V_Z| × |V_X| counts matrix — the paper's statistics
+engine is likewise in-core.  HistSim's iterations, exact ground truth
+and the ``Scan`` baseline (one Spark ``GROUP BY z, x``, then this) all
+use it.
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-from pyspark.sql import DataFrame, functions as F
-
-# ---------------------------------------------------------------------------
-# numpy path
-# ---------------------------------------------------------------------------
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -62,78 +51,3 @@ def l1_distances(counts: np.ndarray, target: Sequence[float]) -> np.ndarray:
         )
     tau = np.abs(normalize_rows(counts) - q).sum(axis=-1)
     return np.where(counts.sum(axis=-1) > 0, tau, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Spark path
-# ---------------------------------------------------------------------------
-
-
-def candidate_histograms(df: DataFrame, z: str, x: str) -> DataFrame:
-    """The histogram-generating query of Definition 1, for all candidates.
-
-    ``SELECT z, x, COUNT(*) FROM df GROUP BY z, x`` — one row per
-    non-empty (candidate, bin) cell, column ``cnt``.
-    """
-    return df.groupBy(z, x).agg(F.count(F.lit(1)).alias("cnt"))
-
-
-def _target_df(df: DataFrame, x: str, target: Mapping) -> DataFrame:
-    """Build a one-row-per-bin DataFrame (x, q) with q normalized."""
-    total = float(sum(target.values()))
-    if not total > 0:
-        raise ValueError("target must have positive total mass")
-    rows = [(k, float(v) / total) for k, v in target.items()]
-    schema_x = df.schema[x].dataType
-    spark = df.sparkSession
-    tdf = spark.createDataFrame(rows, schema=f"{x} string, q double")
-    # Cast the bin column to the data's type so the join keys line up
-    # (targets are specified with python keys, e.g. ints for hours).
-    return tdf.withColumn(x, F.col(x).cast(schema_x))
-
-
-def candidate_distances(df: DataFrame, z: str, x: str, target: Mapping) -> DataFrame:
-    """Distance of every candidate's histogram to ``target``, via Spark.
-
-    ``target`` maps bin value → (unnormalized) mass and must cover every
-    bin it assigns positive probability; bins present in the data but
-    missing from ``target`` count as q = 0 (and vice versa), exactly as
-    Definition 2's ℓ₁ over the union support.
-
-    Returns a DataFrame (z, ``dist``).  The target is tiny (|V_X| rows),
-    so it is broadcast explicitly — the session fixture disables
-    automatic broadcast to exercise shuffles elsewhere, but the paper's
-    contribution is not join selection.
-    """
-    counts = candidate_histograms(df, z, x)
-    totals = counts.groupBy(z).agg(F.sum("cnt").alias("total"))
-    tdf = _target_df(df, x, target)
-    # Union bin support: bins in the data and bins in the target.
-    bins = counts.select(x).distinct().unionByName(tdf.select(x)).distinct()
-    grid = totals.crossJoin(F.broadcast(bins))
-    cells = (
-        grid.join(counts, on=[z, x], how="left")
-        .join(F.broadcast(tdf), on=[x], how="left")
-        .select(
-            z,
-            (F.coalesce(F.col("cnt"), F.lit(0)) / F.col("total")).alias("p"),
-            F.coalesce(F.col("q"), F.lit(0.0)).alias("q"),
-        )
-    )
-    return cells.groupBy(z).agg(F.sum(F.abs(F.col("p") - F.col("q"))).alias("dist"))
-
-
-def exact_topk(df: DataFrame, z: str, x: str, target: Mapping, k: int) -> list:
-    """Exact top-k candidates by distance — the ``Scan`` answer.
-
-    Ties are broken by candidate value for determinism.  Returns a list
-    of ``Row(z, dist)``.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return (
-        candidate_distances(df, z, x, target)
-        .orderBy(F.col("dist").asc(), F.col(z).asc())
-        .limit(k)
-        .collect()
-    )

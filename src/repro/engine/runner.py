@@ -36,11 +36,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 
+from repro.core.distance import l1_distances
 from repro.core.histsim import HistSimState
 from repro.storage.bitmap import mark_lookahead, mark_naive
-from repro.storage.blocks import block_counts
+from repro.storage.blocks import block_counts, encode
 from repro.workloads.queries import PreparedQuery
 
 
@@ -88,7 +88,7 @@ class RunResult:
 
 @dataclass
 class ScanResult:
-    """The exact baseline: full Spark aggregation, measured wall time."""
+    """The exact baseline: one full ``GROUP BY z, x``, measured wall time."""
 
     qid: str
     topk_idx: np.ndarray
@@ -97,14 +97,16 @@ class ScanResult:
     n_rows: int
 
 
-def _fetch_spark(pq: PreparedQuery, block_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One distributed sample+aggregate round over the selected blocks."""
-    pdf = block_counts(
-        pq.ds.sdf, pq.spec.z, pq.spec.x, block_ids=block_ids, per_block=False
-    ).toPandas()
-    zi = pd.Categorical(pdf[pq.spec.z], categories=pq.z_values).codes.astype(np.int64)
-    xi = pd.Categorical(pdf[pq.spec.x], categories=pq.x_values).codes.astype(np.int64)
-    return zi, xi, pdf["cnt"].to_numpy(dtype=np.int64)
+def _fetch_spark(pq: PreparedQuery, block_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One distributed sample+aggregate round over the selected blocks
+    (all blocks when ``block_ids`` is None), as encoded triples."""
+    z, x = pq.spec.z, pq.spec.x
+    pdf = block_counts(pq.ds.sdf, z, x, block_ids=block_ids, per_block=False).toPandas()
+    return (
+        encode(pdf[z], pq.z_values, z),
+        encode(pdf[x], pq.x_values, x),
+        pdf["cnt"].to_numpy(dtype=np.int64),
+    )
 
 
 def run_variant(
@@ -165,7 +167,7 @@ def run_variant(
         elif spec.prune:
             # FastMatch: Algorithm 3 — one vectorized decision per batch
             # (block-major gather = the whole batch's bits per probe).
-            marks = bitmap_t[batch][:, state.active()].any(axis=1)
+            marks = mark_lookahead(bitmap_t, state.active(), batch)
         else:
             marks = np.ones(len(batch), dtype=bool)
         res.time_decide += time.perf_counter() - t0
@@ -204,21 +206,18 @@ def run_variant(
 
 
 def run_scan(pq: PreparedQuery) -> ScanResult:
-    """The exact ``Scan`` baseline: one full Spark aggregation, timed.
+    """The exact ``Scan`` baseline: one full ``GROUP BY z, x``, timed.
 
-    Computes every candidate's histogram and its distance to the target
-    through the distributed path (``repro.core.distance``), then takes
-    the top-k on the driver.  Always correct; its measured wall time
-    calibrates the cost model's per-tuple I/O rate.
+    Decodes the aggregate into the |V_Z| × |V_X| counts matrix, then
+    computes every candidate's distance and the top-k on the driver —
+    the same numpy math as ground truth.  Always correct; its measured
+    wall time calibrates the cost model's per-tuple I/O rate.
     """
-    from repro.core.distance import candidate_distances
-
     t0 = time.perf_counter()
-    target_map = {xv: float(q) for xv, q in zip(pq.x_values, pq.target)}
-    pdf = candidate_distances(pq.ds.sdf, pq.spec.z, pq.spec.x, target_map).toPandas()
-    wall = time.perf_counter() - t0
-    zi = pd.Categorical(pdf[pq.spec.z], categories=pq.z_values).codes.astype(np.int64)
-    tau = np.full(pq.n_candidates, 2.0)
-    tau[zi] = pdf["dist"].to_numpy(dtype=np.float64)
+    zi, xi, cnt = _fetch_spark(pq)
+    counts = np.zeros((pq.n_candidates, pq.d), dtype=np.int64)
+    counts[zi, xi] = cnt
+    tau = l1_distances(counts, pq.target)
     topk = np.argsort(tau, kind="stable")[: pq.spec.k]
+    wall = time.perf_counter() - t0
     return ScanResult(qid=pq.spec.qid, topk_idx=topk, tau=tau, wall=wall, n_rows=pq.ds.n_rows)

@@ -12,7 +12,7 @@ from repro.storage.blocks import (  # noqa: F401
     add_block_ids,
     block_counts,
     build_counts_index,
-    with_blocks_spark,
+    encode,
 )
 from repro.storage.bitmap import (  # noqa: F401
     bitmap_from_index,

@@ -17,10 +17,9 @@ Tests assert both produce identical marks.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame
 
-from repro.storage.blocks import BLOCK_COL, BlockCountsIndex
+from repro.storage.blocks import BLOCK_COL, BlockCountsIndex, encode
 
 
 def build_bitmap(df: DataFrame, z: str, *, z_values: list, n_blocks: int) -> np.ndarray:
@@ -31,9 +30,7 @@ def build_bitmap(df: DataFrame, z: str, *, z_values: list, n_blocks: int) -> np.
     per-tuple bitmaps).
     """
     pdf = df.select(BLOCK_COL, z).distinct().toPandas()
-    zi = pd.Categorical(pdf[z], categories=z_values).codes
-    if (zi < 0).any():
-        raise ValueError("data contains candidate values missing from z_values")
+    zi = encode(pdf[z], z_values, z)
     out = np.zeros((len(z_values), n_blocks), dtype=bool)
     out[zi, pdf[BLOCK_COL].to_numpy(dtype=np.int64)] = True
     return out
@@ -60,14 +57,15 @@ def mark_naive(bitmap: np.ndarray, active_idx, block_ids) -> np.ndarray:
     return marks
 
 
-def mark_lookahead(bitmap: np.ndarray, active_mask: np.ndarray, block_ids) -> np.ndarray:
+def mark_lookahead(bitmap_t: np.ndarray, active_mask: np.ndarray, block_ids) -> np.ndarray:
     """Algorithm 3: mark a whole lookahead batch in one vectorized pass.
 
-    Slices the batch columns first (|V_Z| × lookahead), then the active
-    rows — the whole batch's bits are consumed per probe, the numpy
-    analog of Algorithm 3's use of a full cache line of bitmap bits.
+    Takes the block-major bitmap (n_blocks × |V_Z|): gathering the
+    batch's rows yields every bit of the batch per active candidate —
+    the numpy analog of Algorithm 3's use of a full cache line of bitmap
+    bits per probe.
     """
     block_ids = np.asarray(block_ids, dtype=np.int64)
     if not active_mask.any():
         return np.zeros(len(block_ids), dtype=bool)
-    return bitmap[:, block_ids][active_mask].any(axis=0)
+    return bitmap_t[block_ids][:, active_mask].any(axis=1)

@@ -5,15 +5,15 @@ row-store.  We reproduce the layout with a ``_block_id`` column:
 ``block_id = row_position // tuples_per_block`` over a random
 permutation of the rows.  The workload generators emit i.i.d. rows, so
 their native order is already exchangeable and block ids are assigned
-directly at generation; :func:`with_blocks_spark` additionally provides
-a pure-Spark shuffling path for arbitrary input DataFrames.
+directly at generation.
 
 Per-block (candidate, bin) counts — the unit the sampling engine hands
 to the statistics engine (r_i^partial in §4.2) — are computed by a
 Spark ``GROUP BY _block_id, z, x`` aggregation, either per round over a
 selected set of blocks (:func:`block_counts`) or once over the whole
 dataset into a driver-side CSR-style index for replay-mode runs
-(:class:`BlockCountsIndex`).
+(:class:`BlockCountsIndex`).  Every aggregate comes back as Z/X
+*values*; :func:`encode` is the one place they become vocabulary indices.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window, functions as F
+from pyspark.sql import DataFrame, functions as F
 
 BLOCK_COL = "_block_id"
 
@@ -40,24 +40,21 @@ def add_block_ids(pdf: pd.DataFrame, tuples_per_block: int) -> pd.DataFrame:
     return out
 
 
-def with_blocks_spark(
-    df: DataFrame, tuples_per_block: int, *, seed: int = 0
-) -> DataFrame:
-    """Random-permute an arbitrary DataFrame and assign ``_block_id``.
+def encode(values, vocabulary: list, column: str) -> np.ndarray:
+    """Map Z/X values to their indices in ``vocabulary`` (int32).
 
-    The paper's preprocessing step ("randomly permute the tuples ... as
-    a preprocessing step") as a Catalyst plan: order by ``rand(seed)``
-    and number rows with a window.  The global window is single-task —
-    acceptable at test scale; the workload generators use the pandas
-    path instead.
+    Raises ``ValueError`` on a NULL or on any value outside the
+    vocabulary, so an aggregate can never be folded silently into the
+    wrong candidate or bin.
     """
-    if tuples_per_block < 1:
-        raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
-    w = Window.orderBy(F.rand(seed), *[F.col(c) for c in df.columns])
-    return df.withColumn(
-        BLOCK_COL,
-        ((F.row_number().over(w) - F.lit(1)) / F.lit(tuples_per_block)).cast("long"),
-    )
+    codes = pd.Categorical(values, categories=vocabulary).codes
+    if (codes < 0).any():
+        bad = pd.unique(np.asarray(values, dtype=object)[codes < 0])[:5]
+        raise ValueError(
+            f"column {column!r} holds NULL or values missing from its "
+            f"vocabulary: {list(bad)}"
+        )
+    return codes.astype(np.int32)
 
 
 def block_counts(
@@ -141,10 +138,8 @@ def build_counts_index(
     every block (tested against the DuckDB oracle).
     """
     pdf = block_counts(df, z, x, per_block=True).toPandas()
-    zi = pd.Categorical(pdf[z], categories=z_values).codes.astype(np.int32)
-    xi = pd.Categorical(pdf[x], categories=x_values).codes.astype(np.int32)
-    if (zi < 0).any() or (xi < 0).any():
-        raise ValueError("data contains values missing from the supplied vocabularies")
+    zi = encode(pdf[z], z_values, z)
+    xi = encode(pdf[x], x_values, x)
     blocks = pdf[BLOCK_COL].to_numpy(dtype=np.int64)
     order = np.argsort(blocks, kind="stable")
     blocks = blocks[order]

@@ -12,11 +12,11 @@ PAPER_TABLE2 = {
 }
 
 
-def rows(spark: SparkSession, *, sf: float, tuples_per_block: int = 64) -> list[dict]:
+def rows(spark: SparkSession, *, sf: float) -> list[dict]:
     """One row per dataset: paper figures + our synthetic analog's."""
     out = []
     for name, paper in PAPER_TABLE2.items():
-        ds = load_dataset(spark, name, sf=sf, tuples_per_block=tuples_per_block)
+        ds = load_dataset(spark, name, sf=sf)
         n_attrs = len([c for c in ds.sdf.columns if c != "_block_id"])
         out.append(
             {

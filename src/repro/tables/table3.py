@@ -18,15 +18,13 @@ PAPER_TABLE3 = {
 }
 
 
-def rows(spark: SparkSession, *, sf: float, tuples_per_block: int = 64) -> list[dict]:
+def rows(spark: SparkSession, *, sf: float) -> list[dict]:
     """One row per query: spec + resolved target description."""
     out = []
     by_ds: dict[str, object] = {}
     for qid, spec in QUERIES.items():
         if spec.dataset not in by_ds:
-            by_ds[spec.dataset] = load_dataset(
-                spark, spec.dataset, sf=sf, tuples_per_block=tuples_per_block
-            )
+            by_ds[spec.dataset] = load_dataset(spark, spec.dataset, sf=sf)
         pq = prepare(by_ds[spec.dataset], spec)
         paper = PAPER_TABLE3[qid]
         out.append(

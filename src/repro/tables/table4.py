@@ -123,7 +123,6 @@ def rows(
     n_runs: int = 5,
     delta: float = 0.01,
     lookahead: int = 512,
-    tuples_per_block: int = 64,
     seed: int = 0,
     queries=None,
 ) -> list[QueryExperiment]:
@@ -136,10 +135,7 @@ def rows(
         if current is None or current[0] != spec.dataset:
             if current is not None:
                 current[1].sdf.unpersist()
-            current = (
-                spec.dataset,
-                load_dataset(spark, spec.dataset, sf=sf, tuples_per_block=tuples_per_block),
-            )
+            current = (spec.dataset, load_dataset(spark, spec.dataset, sf=sf))
         pq = prepare(current[1], spec)
         out.append(
             run_query_experiment(

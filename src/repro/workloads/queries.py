@@ -31,7 +31,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.distance import l1_distances
 from repro.storage.bitmap import bitmap_from_index
-from repro.storage.blocks import BlockCountsIndex, build_counts_index
+from repro.storage.blocks import BlockCountsIndex, build_counts_index, encode
 from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, generate
 
 
@@ -203,7 +203,7 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
     )
     exact = idx.exact_counts()
     if spec.target_kind == "candidate":
-        zi = z_values.index(spec.target_arg)
+        zi = encode([spec.target_arg], z_values, spec.z)[0]
         target, desc = exact[zi].astype(np.float64), f"candidate {spec.target_arg}"
     else:
         target, desc = compute_target(spec, x_values, exact)

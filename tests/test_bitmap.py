@@ -65,18 +65,18 @@ def test_naive_equals_lookahead(seed):
     active_mask = rng.random(40) < 0.3
     blocks = rng.choice(200, size=64, replace=False)
     naive = mark_naive(bm, np.flatnonzero(active_mask), blocks)
-    fast = mark_lookahead(bm, active_mask, blocks)
+    fast = mark_lookahead(bm.T, active_mask, blocks)
     np.testing.assert_array_equal(naive, fast)
 
 
 def test_no_active_marks_nothing():
     bm = np.ones((5, 10), dtype=bool)
-    assert not mark_lookahead(bm, np.zeros(5, dtype=bool), [0, 1, 2]).any()
+    assert not mark_lookahead(bm.T, np.zeros(5, dtype=bool), [0, 1, 2]).any()
     assert not mark_naive(bm, [], [0, 1, 2]).any()
 
 
 def test_all_active_marks_nonempty_blocks(fl_bitmap):
     ds, bm = fl_bitmap
-    marks = mark_lookahead(bm, np.ones(bm.shape[0], dtype=bool), np.arange(ds.n_blocks))
+    marks = mark_lookahead(bm.T, np.ones(bm.shape[0], dtype=bool), np.arange(ds.n_blocks))
     # every block holds ≥1 tuple, hence ≥1 candidate bit
     assert marks.all()

@@ -9,9 +9,7 @@ from repro.storage.blocks import (
     add_block_ids,
     block_counts,
     build_counts_index,
-    with_blocks_spark,
 )
-from repro import synth_data
 
 
 # -- pandas block assignment -------------------------------------------------
@@ -29,47 +27,23 @@ def test_add_block_ids_bad_tpb():
         add_block_ids(pd.DataFrame({"a": [1]}), 0)
 
 
-# -- spark permutation path --------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def lineitem(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=3).cache()
-
-
-def test_with_blocks_spark_sizes(spark, lineitem):
-    n = lineitem.count()
-    blocked = with_blocks_spark(lineitem, 100, seed=1)
-    sizes = blocked.groupBy(BLOCK_COL).count().toPandas().sort_values(BLOCK_COL)
-    assert sizes["count"].iloc[:-1].eq(100).all()  # all full except last
-    assert sizes["count"].sum() == n
-    assert sizes[BLOCK_COL].tolist() == list(range(len(sizes)))
-
-
-def test_with_blocks_spark_deterministic(spark, lineitem):
-    a = with_blocks_spark(lineitem, 50, seed=7).groupBy(BLOCK_COL, "l_returnflag").count()
-    b = with_blocks_spark(lineitem, 50, seed=7).groupBy(BLOCK_COL, "l_returnflag").count()
-    assert sorted(map(tuple, a.collect())) == sorted(map(tuple, b.collect()))
-
-
-def test_with_blocks_spark_bad_tpb(lineitem):
-    with pytest.raises(ValueError):
-        with_blocks_spark(lineitem, 0)
-
-
 # -- block_counts vs DuckDB --------------------------------------------------
 
 
 def test_block_counts_oracle(datasets):
+    """Per-block counts, and the full-data histogram query of Definition 1
+    (``per_block=False``, what Scan runs)."""
     ds = datasets["flights"]
     pdf = ds.sdf.toPandas()
-    got = block_counts(ds.sdf, "origin", "day_of_week", per_block=True)
-    assert_equivalent(
-        got,
-        f"SELECT {BLOCK_COL}, origin, day_of_week, COUNT(*) AS cnt "
-        f"FROM flights GROUP BY 1, 2, 3",
-        flights=pdf,
-    )
+    for per_block in (True, False):
+        keys = f"{BLOCK_COL}, " if per_block else ""
+        got = block_counts(ds.sdf, "origin", "day_of_week", per_block=per_block)
+        assert_equivalent(
+            got,
+            f"SELECT {keys}origin, day_of_week, COUNT(*) AS cnt "
+            "FROM flights GROUP BY ALL",
+            flights=pdf,
+        )
 
 
 def test_block_counts_filtered_oracle(datasets):

@@ -1,22 +1,10 @@
-"""Normalized ℓ₁ distance: numpy vs Spark vs DuckDB (oracle), + metric
-properties used by Lemmas 1–2."""
+"""Normalized ℓ₁ distance: known values + metric properties used by
+Lemmas 1–2.  The Scan that runs it on Spark aggregates is checked on
+every query in ``test_runner``."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.distance import (
-    candidate_distances,
-    candidate_histograms,
-    exact_topk,
-    l1_distances,
-    normalize_rows,
-    normalize_target,
-)
-from repro.oracle import assert_equivalent
-from repro.workloads.queries import QUERIES
-
-
-# -- numpy path --------------------------------------------------------------
+from repro.core.distance import l1_distances, normalize_rows, normalize_target
 
 
 def test_normalize_rows_basic():
@@ -70,113 +58,3 @@ def test_lemma1_deviation_to_reconstruction(seed):
     tau_tru = l1_distances(tru, q)
     dev = np.abs(normalize_rows(est) - normalize_rows(tru)).sum(axis=1)
     assert np.all(np.abs(tau_est - tau_tru) <= dev + 1e-12)
-
-
-# -- Spark path, oracle-checked ----------------------------------------------
-
-
-def _strip(pdf):
-    return pdf.drop(columns=["_block_id"], errors="ignore")
-
-
-def _dist_sql(table, z, x, target: dict) -> str:
-    vals = ", ".join(f"({v!r}, {q})" for v, q in target.items())
-    return f"""
-    WITH counts AS (
-        SELECT {z} AS z, {x} AS x, COUNT(*) AS cnt FROM {table} GROUP BY 1, 2
-    ),
-    totals AS (SELECT z, SUM(cnt) AS total FROM counts GROUP BY 1),
-    target(x, q) AS (VALUES {vals}),
-    bins AS (SELECT x FROM counts UNION SELECT x FROM target),
-    cells AS (
-        SELECT t.z,
-               COALESCE(c.cnt, 0) / t.total AS p,
-               COALESCE(tg.q, 0.0) AS q
-        FROM totals t
-        CROSS JOIN (SELECT DISTINCT x FROM bins) b
-        LEFT JOIN counts c ON t.z = c.z AND b.x = c.x
-        LEFT JOIN target tg ON b.x = tg.x
-    )
-    SELECT z AS {z}, SUM(ABS(p - q)) AS dist FROM cells GROUP BY z
-    """
-
-
-@pytest.fixture(scope="module")
-def flights_small(datasets):
-    ds = datasets["flights"]
-    return ds, ds.sdf.toPandas()
-
-
-def test_candidate_histograms_oracle(flights_small):
-    ds, pdf = flights_small
-    got = candidate_histograms(ds.sdf, "origin", "departure_hour").withColumnRenamed(
-        "cnt", "cnt"
-    )
-    assert_equivalent(
-        got,
-        "SELECT origin, departure_hour, COUNT(*) AS cnt "
-        "FROM flights GROUP BY origin, departure_hour",
-        flights=_strip(pdf),
-    )
-
-
-def test_candidate_distances_oracle_explicit_target(flights_small):
-    ds, pdf = flights_small
-    target = {h: (2.0 if h < 12 else 1.0) for h in range(24)}
-    total = sum(target.values())
-    norm = {h: v / total for h, v in target.items()}
-    got = candidate_distances(ds.sdf, "origin", "departure_hour", target)
-    assert_equivalent(
-        got,
-        _dist_sql("flights", "origin", "departure_hour", norm),
-        flights=_strip(pdf),
-    )
-
-
-def test_candidate_distances_oracle_partial_target(flights_small):
-    """Bins missing from the target count with q = 0 (and vice versa)."""
-    ds, pdf = flights_small
-    target = {0: 0.5, 1: 0.25, 2: 0.25}
-    got = candidate_distances(ds.sdf, "origin", "departure_hour", target)
-    assert_equivalent(
-        got,
-        _dist_sql("flights", "origin", "departure_hour", target),
-        flights=_strip(pdf),
-    )
-
-
-@pytest.mark.parametrize("qid", sorted(QUERIES))
-def test_spark_distance_matches_numpy(qid, prepared):
-    """The distributed distance equals the numpy ground-truth distances
-    derived from exact counts, for every evaluation query."""
-    pq = prepared[qid]
-    target_map = dict(zip(pq.x_values, pq.target))
-    pdf = candidate_distances(
-        pq.ds.sdf, pq.spec.z, pq.spec.x, target_map
-    ).toPandas()
-    got = dict(zip(pdf[pq.spec.z], pdf["dist"]))
-    for zi, zv in enumerate(pq.z_values):
-        if pq.exact_counts[zi].sum() > 0:
-            assert got[zv] == pytest.approx(pq.tau_star[zi], abs=1e-9)
-
-
-def test_exact_topk_matches_numpy(flights_pq):
-    pq = flights_pq
-    target_map = dict(zip(pq.x_values, pq.target))
-    rows = exact_topk(pq.ds.sdf, "origin", "departure_hour", target_map, pq.spec.k)
-    got = [r["origin"] for r in rows]
-    want = [pq.z_values[i] for i in pq.true_topk()]
-    assert got == want
-
-
-def test_exact_topk_bad_k(flights_pq):
-    pq = flights_pq
-    with pytest.raises(ValueError):
-        exact_topk(pq.ds.sdf, "origin", "departure_hour", {0: 1.0}, 0)
-
-
-def test_candidate_distances_zero_mass_target_raises(flights_pq):
-    with pytest.raises(ValueError):
-        candidate_distances(
-            flights_pq.ds.sdf, "origin", "departure_hour", {0: 0.0}
-        )

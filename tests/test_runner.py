@@ -1,13 +1,18 @@
 """The §5.2 variants: termination, mode equivalence, guarantees."""
+import dataclasses
+
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.engine.runner import APPROX_VARIANTS, run_scan, run_variant
+from repro.storage.blocks import BLOCK_COL
 from repro.tables.metrics import (
     delta_d,
     guarantee1_satisfied,
     guarantee2_satisfied,
 )
+from repro.workloads.queries import QUERIES
 
 VARIANTS = sorted(APPROX_VARIANTS)
 
@@ -113,6 +118,23 @@ def test_syncmatch_modes_equivalent_small(prepared):
     np.testing.assert_array_equal(a.est_counts, b.est_counts)
 
 
+@pytest.mark.parametrize("column, value", [("road_id", None), ("contraband_found", "MAYBE")])
+def test_spark_paths_reject_null_and_unseen_values(column, value, prepared, spark):
+    """A NULL Z or an X value outside the vocabulary in a fetched block
+    raises, as replay's index build does, instead of being counted
+    against the last candidate or bin."""
+    pq = prepared["police-q1"]
+    sdf = pq.ds.sdf
+    row = sdf.filter(F.col(BLOCK_COL) == 0).first().asDict()
+    row[column] = value
+    bad = sdf.unionByName(spark.createDataFrame([row], schema=sdf.schema))
+    bad_pq = dataclasses.replace(pq, ds=dataclasses.replace(pq.ds, sdf=bad))
+    with pytest.raises(ValueError, match=column):
+        run_variant(bad_pq, "fastmatch", start_block=0, mode="spark")
+    with pytest.raises(ValueError, match=column):
+        run_scan(bad_pq)
+
+
 # -- the guarantees, across every query and variant --------------------------
 
 
@@ -138,3 +160,13 @@ def test_scan_matches_ground_truth(flights_pq):
     np.testing.assert_allclose(s.tau, flights_pq.tau_star, atol=1e-9)
     assert s.wall > 0
     assert s.n_rows == flights_pq.ds.n_rows
+
+
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_scan_matches_ground_truth_per_query(qid, prepared):
+    pq = prepared[qid]
+    s = run_scan(pq)
+    np.testing.assert_array_equal(s.topk_idx, pq.true_topk())
+    np.testing.assert_allclose(s.tau, pq.tau_star, rtol=0, atol=1e-9)
+    assert s.wall > 0
+    assert s.n_rows == pq.ds.n_rows
