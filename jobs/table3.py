@@ -1,10 +1,8 @@
 """Regenerate Table 3 (query summary): ``python jobs/table3.py [--sf SF]``."""
 import argparse
 import os
-import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _session import get_spark  # noqa: E402
+from repro.session import get_spark
 
 
 def main() -> None:

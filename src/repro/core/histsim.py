@@ -9,7 +9,7 @@ performs one iteration of Algorithm 1's lines 8–14:
 3. select deviations {ε_i} per §3.3 (maximal under Lemma 2);
 4. convert to failure probabilities δ_i via Theorem 1
    (δ_i = min(1, 2^{|V_X|}·e^{−ε_i²n_i/2})), with δ_i = 0 for
-   *exhausted* candidates — ones whose every tuple has been read, so
+   *exhausted* candidates — ones with n_i = N_i, every tuple read, so
    their histogram is exact (the without-replacement endpoint of §4.2
    Challenge 1);
 5. sum into δ^upper.
@@ -55,9 +55,11 @@ class HistSimState:
     n_candidates : |V_Z| — number of candidate histograms.
     target : length-|V_X| target vector Q (normalized internally).
     k, eps, delta : the user parameters of Problem 1.
+    totals : length-|V_Z| tuple counts N_i of the full data; candidate i
+        is exhausted once n_i = N_i.
     """
 
-    def __init__(self, n_candidates: int, target, k: int, eps: float, delta: float):
+    def __init__(self, n_candidates: int, target, k: int, eps: float, delta: float, totals):
         if n_candidates < 1:
             raise ValueError("need at least one candidate")
         if not 0 < delta < 1:
@@ -66,14 +68,17 @@ class HistSimState:
             raise ValueError(f"eps must be positive, got {eps}")
         if not 1 <= k <= n_candidates:
             raise ValueError(f"k must be in [1, {n_candidates}], got {k}")
+        totals = np.asarray(totals, dtype=np.int64)
+        if totals.shape != (n_candidates,):
+            raise ValueError(f"totals must have shape ({n_candidates},), got {totals.shape}")
         self.qhat = normalize_target(target)
         self.d = int(self.qhat.shape[0])
         self.n_candidates = int(n_candidates)
         self.k = int(k)
         self.eps = float(eps)
         self.delta = float(delta)
+        self.totals = totals
         self.counts = np.zeros((n_candidates, self.d), dtype=np.int64)
-        self.exhausted = np.zeros(n_candidates, dtype=bool)
         self.n_iterations = 0
         self.last: IterationResult | None = None
 
@@ -91,10 +96,6 @@ class HistSimState:
         """
         np.add.at(self.counts, (np.asarray(z_idx), np.asarray(x_idx)), np.asarray(cnt))
 
-    def mark_exhausted(self, mask_or_idx) -> None:
-        """Declare candidates fully read (their histograms are now exact)."""
-        self.exhausted[mask_or_idx] = True
-
     # -- one iteration of Algorithm 1 --------------------------------------
 
     def iterate(self) -> IterationResult:
@@ -105,7 +106,7 @@ class HistSimState:
         delta_i = np.asarray(
             delta_bound(n, np.maximum(choice.eps, 0.0), self.d), dtype=np.float64
         )
-        delta_i[self.exhausted] = 0.0
+        delta_i[n == self.totals] = 0.0
         res = IterationResult(
             tau=tau,
             matching=choice.matching,

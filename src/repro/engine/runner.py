@@ -26,8 +26,8 @@ Two execution modes share this loop:
 
 The loop walks blocks sequentially from a (seeded-random) start with
 wraparound — the paper's "linear scan of the shuffled data starting
-from any point".  Candidates whose every block has been read are marked
-exhausted (their histogram is exact → δ_i = 0), which is how a run that
+from any point".  A candidate whose every tuple has been read (n_i = N_i)
+is exhausted (its histogram is exact → δ_i = 0), which is how a run that
 ends up reading everything terminates with the exact answer.
 """
 from __future__ import annotations
@@ -135,11 +135,9 @@ def run_variant(
     if not 0 <= start_block < n_blocks:
         raise ValueError(f"start_block must be in [0, {n_blocks}), got {start_block}")
 
-    bitmap = pq.bitmap
-    bitmap_t = pq.bitmap_t
-    state = HistSimState(pq.n_candidates, pq.target, pq.spec.k, eps, delta)
-    remaining = bitmap.sum(axis=1).astype(np.int64)  # blocks left per candidate
-    state.mark_exhausted(remaining == 0)             # values absent from the data
+    state = HistSimState(
+        pq.n_candidates, pq.target, pq.spec.k, eps, delta, pq.exact_counts.sum(axis=1)
+    )
 
     order = np.roll(np.arange(n_blocks, dtype=np.int64), -start_block)
     batch_size = 1 if spec.per_block else lookahead
@@ -163,11 +161,11 @@ def run_variant(
             # candidate bit at a time, per block (the paper's
             # cache-hostile path; here the per-probe Python cost plays
             # the role of the wasted cache line).
-            marks = mark_naive(bitmap, np.flatnonzero(state.active()), batch)
+            marks = mark_naive(pq.bitmap_t, np.flatnonzero(state.active()), batch)
         elif spec.prune:
             # FastMatch: Algorithm 3 — one vectorized decision per batch
             # (block-major gather = the whole batch's bits per probe).
-            marks = mark_lookahead(bitmap_t, state.active(), batch)
+            marks = mark_lookahead(pq.bitmap_t, state.active(), batch)
         else:
             marks = np.ones(len(batch), dtype=bool)
         res.time_decide += time.perf_counter() - t0
@@ -184,8 +182,6 @@ def run_variant(
 
         t0 = time.perf_counter()
         state.update(zi, xi, cnt)
-        remaining -= bitmap_t[to_read].sum(axis=0)
-        state.mark_exhausted(remaining == 0)
         state.iterate()
         res.time_stats += time.perf_counter() - t0
         res.n_stat_iters += 1

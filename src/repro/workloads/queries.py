@@ -129,23 +129,14 @@ class PreparedQuery:
     target: np.ndarray          # length |V_X|, aligned with x_values
     target_desc: str
     counts_index: BlockCountsIndex = field(repr=False, default=None)
-    bitmap: np.ndarray = field(repr=False, default=None)
+    bitmap_t: np.ndarray = field(repr=False, default=None)  # n_blocks × |V_Z|
     exact_counts: np.ndarray = field(repr=False, default=None)
     tau_star: np.ndarray = field(repr=False, default=None)
-    _bitmap_t: np.ndarray = field(repr=False, default=None)
 
     @property
-    def bitmap_t(self) -> np.ndarray:
-        """Block-major copy of the bitmap (n_blocks × |V_Z|), built lazily.
-
-        Batch marking and per-batch exhaustion accounting gather whole
-        blocks; the block-major layout makes those row gathers (cheap,
-        contiguous) instead of column gathers over the candidate-major
-        index.
-        """
-        if self._bitmap_t is None:
-            self._bitmap_t = np.ascontiguousarray(self.bitmap.T)
-        return self._bitmap_t
+    def bitmap(self) -> np.ndarray:
+        """The bitmap as |V_Z| × n_blocks: a transposed view, not a copy."""
+        return self.bitmap_t.T
 
     @property
     def n_candidates(self) -> int:
@@ -215,7 +206,7 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         target=target,
         target_desc=desc,
         counts_index=idx,
-        bitmap=bitmap_from_index(idx),
+        bitmap_t=bitmap_from_index(idx),
         exact_counts=exact,
         tau_star=l1_distances(exact, target),
     )

@@ -9,6 +9,7 @@ from repro.storage.bitmap import (
     mark_naive,
 )
 from repro.storage.blocks import build_counts_index
+from repro.workloads.queries import QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def fl_bitmap(datasets):
 
 def test_bitmap_shape(fl_bitmap):
     ds, bm = fl_bitmap
-    assert bm.shape == (161, ds.n_blocks)
+    assert bm.shape == (ds.n_blocks, 161)
     assert bm.dtype == bool
 
 
@@ -32,7 +33,7 @@ def test_bitmap_matches_data(fl_bitmap):
     z_idx = {v: i for i, v in enumerate(ds.meta.value_sets["origin"])}
     truth = np.zeros_like(bm)
     for origin, block in zip(pdf["origin"], pdf["_block_id"]):
-        truth[z_idx[origin], block] = True
+        truth[block, z_idx[origin]] = True
     np.testing.assert_array_equal(bm, truth)
 
 
@@ -61,22 +62,41 @@ def test_naive_equals_lookahead(seed):
     """Algorithm 2 (per-block early-exit probing) and Algorithm 3
     (vectorized batch marking) select identical blocks."""
     rng = np.random.default_rng(seed)
-    bm = rng.random((40, 200)) < 0.1
+    bm = rng.random((200, 40)) < 0.1
     active_mask = rng.random(40) < 0.3
     blocks = rng.choice(200, size=64, replace=False)
     naive = mark_naive(bm, np.flatnonzero(active_mask), blocks)
-    fast = mark_lookahead(bm.T, active_mask, blocks)
+    fast = mark_lookahead(bm, active_mask, blocks)
     np.testing.assert_array_equal(naive, fast)
 
 
 def test_no_active_marks_nothing():
-    bm = np.ones((5, 10), dtype=bool)
-    assert not mark_lookahead(bm.T, np.zeros(5, dtype=bool), [0, 1, 2]).any()
+    bm = np.ones((10, 5), dtype=bool)
+    assert not mark_lookahead(bm, np.zeros(5, dtype=bool), [0, 1, 2]).any()
     assert not mark_naive(bm, [], [0, 1, 2]).any()
 
 
 def test_all_active_marks_nonempty_blocks(fl_bitmap):
     ds, bm = fl_bitmap
-    marks = mark_lookahead(bm.T, np.ones(bm.shape[0], dtype=bool), np.arange(ds.n_blocks))
+    marks = mark_lookahead(bm, np.ones(bm.shape[1], dtype=bool), np.arange(ds.n_blocks))
     # every block holds ≥1 tuple, hence ≥1 candidate bit
     assert marks.all()
+
+
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_tuple_count_exhaustion_equals_all_blocks_read(qid, prepared):
+    """After reading block set S, n_i = N_i holds iff S contains every block
+    whose Spark-built bit for i is set: the runner's exhaustion rule needs
+    no per-block bookkeeping."""
+    pq = prepared[qid]
+    bm = build_bitmap(
+        pq.ds.sdf, pq.spec.z, z_values=pq.z_values, n_blocks=pq.ds.n_blocks
+    )
+    totals = pq.exact_counts.sum(axis=1)
+    rng = np.random.default_rng(0)
+    for frac in (0.0, 0.5, 0.9, 0.99, 1.0):
+        read = rng.random(pq.ds.n_blocks) < frac
+        zi, _, cnt = pq.counts_index.gather(np.flatnonzero(read))
+        n = np.bincount(zi, weights=cnt, minlength=pq.n_candidates)
+        all_blocks_read = ~(bm & ~read[:, None]).any(axis=0)
+        np.testing.assert_array_equal(n == totals, all_blocks_read)

@@ -7,8 +7,20 @@ from repro.core.distance import l1_distances
 from repro.core.histsim import HistSimState
 
 
-def make_state(n_cand=5, d=4, k=2, eps=0.2, delta=0.01, target=None):
-    return HistSimState(n_cand, target if target is not None else np.ones(d), k, eps, delta)
+# Tuple totals N_i far above any sample count, so no candidate is
+# exhausted when a test samples with replacement.
+BIG = 10**12
+
+
+def make_state(n_cand=5, d=4, k=2, eps=0.2, delta=0.01, target=None, totals=None):
+    return HistSimState(
+        n_cand,
+        target if target is not None else np.ones(d),
+        k,
+        eps,
+        delta,
+        np.full(n_cand, BIG) if totals is None else totals,
+    )
 
 
 # -- construction ------------------------------------------------------------
@@ -23,6 +35,7 @@ def make_state(n_cand=5, d=4, k=2, eps=0.2, delta=0.01, target=None):
         dict(eps=0.0),
         dict(delta=0.0),
         dict(delta=1.0),
+        dict(n_cand=3, totals=[BIG, BIG]),
     ],
 )
 def test_bad_construction(kwargs):
@@ -73,9 +86,18 @@ def test_unsampled_candidate_has_delta_one_and_tau_two():
 
 
 def test_exhausted_candidate_has_delta_zero():
-    st = make_state(n_cand=3, d=2, k=1, target=[1, 1])
+    """Candidates 0 and 1 hold the same samples; only 1 has n_i = N_i."""
+    st = make_state(n_cand=3, d=2, k=1, target=[1, 1], totals=[100, 5, 100])
     st.update([0, 1, 2], [0, 0, 1], [5, 5, 5])
-    st.mark_exhausted([1])
+    res = st.iterate()
+    assert res.delta_i[1] == 0.0
+    assert res.delta_i[0] > 0 and res.delta_i[2] > 0
+
+
+def test_absent_candidate_has_delta_zero_at_first_iterate():
+    """A value with no tuples (N_i = 0) is exact before any of it is read."""
+    st = make_state(n_cand=3, d=2, k=1, target=[1, 1], totals=[100, 0, 100])
+    st.update([0, 2], [0, 1], [5, 5])
     res = st.iterate()
     assert res.delta_i[1] == 0.0
     assert res.delta_i[0] > 0 and res.delta_i[2] > 0
@@ -142,7 +164,7 @@ def test_simulated_run_returns_correct_topk(seed):
         far = rng.dirichlet(np.ones(d))
         truth[i] = (1 - mix) * target + mix * far
         truth[i] /= truth[i].sum()
-    st = HistSimState(n_cand, target, k, eps, delta)
+    st = HistSimState(n_cand, target, k, eps, delta, np.full(n_cand, BIG))
     for _ in range(3000):
         for i in range(n_cand):
             draw = rng.multinomial(40, truth[i])
