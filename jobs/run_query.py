@@ -10,7 +10,6 @@ This is the hook for the paper's sweep figures (ε, δ, lookahead) —
 invoke it across a parameter grid and collect the printed metrics.
 """
 import argparse
-import os
 
 from repro.session import get_spark
 
@@ -19,7 +18,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("qid")
     ap.add_argument("variant", choices=["scan", "slowmatch", "scanmatch", "syncmatch", "fastmatch"])
-    ap.add_argument("--sf", type=float, default=float(os.environ.get("REPRO_SF", 0.4)))
+    ap.add_argument("--sf", type=float, default=0.4)
     ap.add_argument("--eps", type=float, default=None)
     ap.add_argument("--delta", type=float, default=0.01)
     ap.add_argument("--lookahead", type=int, default=512)

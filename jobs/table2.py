@@ -1,13 +1,12 @@
 """Regenerate Table 2 (dataset summary): ``python jobs/table2.py [--sf SF]``."""
 import argparse
-import os
 
 from repro.session import get_spark
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=float(os.environ.get("REPRO_SF", 0.4)))
+    ap.add_argument("--sf", type=float, default=0.4)
     args = ap.parse_args()
     spark = get_spark("table2")
     from repro.tables import table2

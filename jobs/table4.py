@@ -10,14 +10,13 @@ fractions and guarantee/Δ_d verification.  EXPERIMENTS.md records one
 canonical run.
 """
 import argparse
-import os
 
 from repro.session import get_spark
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=float(os.environ.get("REPRO_SF", 0.4)))
+    ap.add_argument("--sf", type=float, default=0.4)
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--delta", type=float, default=0.01)
     ap.add_argument("--lookahead", type=int, default=512)

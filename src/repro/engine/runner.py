@@ -1,18 +1,23 @@
 """The round loop implementing every §5.2 approach.
 
 One code path drives all four approximate variants; they differ only in
-(a) whether AnyActive block pruning is applied, (b) the granularity at
-which block-selection decisions and statistics iterations happen, and
-(c) the termination criterion:
+(a) whether AnyActive block pruning is applied, (b) the batch size — the
+granularity at which block-selection decisions and statistics iterations
+happen — and (c) the termination criterion:
 
-===========  ======  ==================  ===========
-variant      prune   decision/stats      termination
-===========  ======  ==================  ===========
-slowmatch    no      per lookahead batch max δ_i ≤ δ/|V_Z|
-scanmatch    no      per lookahead batch Σ δ_i ≤ δ
-syncmatch    yes     per single block    Σ δ_i ≤ δ
-fastmatch    yes     per lookahead batch Σ δ_i ≤ δ
-===========  ======  ==================  ===========
+===========  ======  =================  ==================
+variant      prune   batch size         termination
+===========  ======  =================  ==================
+slowmatch    no      lookahead blocks   max δ_i ≤ δ/|V_Z|
+scanmatch    no      lookahead blocks   Σ δ_i ≤ δ
+syncmatch    yes     1 block            Σ δ_i ≤ δ
+fastmatch    yes     lookahead blocks   Σ δ_i ≤ δ
+===========  ======  =================  ==================
+
+Both pruned variants mark a batch with one call,
+:func:`~repro.storage.bitmap.mark_lookahead` (Algorithm 3).  On a
+one-block window it makes Algorithm 2's decision, so SyncMatch is
+FastMatch without lookahead, as in the paper.
 
 Two execution modes share this loop:
 
@@ -39,7 +44,8 @@ import numpy as np
 
 from repro.core.distance import l1_distances
 from repro.core.histsim import HistSimState
-from repro.storage.bitmap import mark_lookahead, mark_naive
+# mark_naive is not called here; perfbench/spans.py wraps runner.mark_naive by name.
+from repro.storage.bitmap import mark_lookahead, mark_naive  # noqa: F401
 from repro.storage.blocks import block_counts, encode
 from repro.workloads.queries import PreparedQuery
 
@@ -156,15 +162,7 @@ def run_variant(
         res.blocks_considered += len(batch)
 
         t0 = time.perf_counter()
-        if spec.prune and spec.per_block:
-            # SyncMatch: the pre-lookahead Algorithm 2 — probe one
-            # candidate bit at a time, per block (the paper's
-            # cache-hostile path; here the per-probe Python cost plays
-            # the role of the wasted cache line).
-            marks = mark_naive(pq.bitmap_t, np.flatnonzero(state.active()), batch)
-        elif spec.prune:
-            # FastMatch: Algorithm 3 — one vectorized decision per batch
-            # (block-major gather = the whole batch's bits per probe).
+        if spec.prune:
             marks = mark_lookahead(pq.bitmap_t, state.active(), batch)
         else:
             marks = np.ones(len(batch), dtype=bool)

@@ -1,18 +1,20 @@
 """Bitmap index: one bit per (candidate value, block) — paper §4.1.
 
 The index is block-major (n_blocks × |V_Z|): a ``1`` at (block b,
-candidate i) means block ``b`` contains at least one tuple with Z = z_i.  The AnyActive policy reads a block iff any
-*active* candidate's bit is set.
+candidate i) means block ``b`` contains at least one tuple with Z = z_i.
+The AnyActive policy reads a block iff any *active* candidate's bit is
+set.
 
 Two marking procedures mirror the paper's Algorithms 2 and 3:
 
-* :func:`mark_naive` — per-block, candidate-at-a-time probing with
-  early exit (Algorithm 2; what SyncMatch effectively does);
 * :func:`mark_lookahead` — one vectorized pass over a whole lookahead
   batch (Algorithm 3's cache-line-friendly loop order; numpy slicing
-  plays the role of using a full cache line of bits per probe).
-
-Tests assert both produce identical marks.
+  plays the role of using a full cache line of bits per probe).  It is
+  the one marking call of the round loop: FastMatch passes its lookahead
+  window, SyncMatch a one-block window;
+* :func:`mark_naive` — per-block, candidate-at-a-time probing with
+  early exit (Algorithm 2).  It is the reference the tests compare
+  :func:`mark_lookahead` against, on windows of one block and of many.
 """
 from __future__ import annotations
 

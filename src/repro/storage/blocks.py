@@ -87,38 +87,25 @@ class BlockCountsIndex:
     z_values: list
     x_values: list
     n_blocks: int
-    tuples_per_block: int
     offsets: np.ndarray  # (n_blocks + 1,) int64
     z_idx: np.ndarray    # (nnz,) int32
     x_idx: np.ndarray    # (nnz,) int32
     cnt: np.ndarray      # (nnz,) int64
 
-    @property
-    def total_tuples(self) -> int:
-        return int(self.cnt.sum())
-
-    def slice(self, block_id: int):
-        """(z_idx, x_idx, cnt) triples of one block."""
-        a, b = self.offsets[block_id], self.offsets[block_id + 1]
-        return self.z_idx[a:b], self.x_idx[a:b], self.cnt[a:b]
-
     def gather(self, block_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated triples of many blocks (a replay-mode batch fetch)."""
-        parts = [self.slice(int(b)) for b in block_ids]
-        if not parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+        """Concatenated triples of many blocks, in ``block_ids`` order (a
+        replay-mode batch fetch): one offset-arithmetic index, no loop."""
+        ids = np.asarray(block_ids, dtype=np.int64)
+        starts = self.offsets[ids]
+        lens = self.offsets[ids + 1] - starts
+        rows = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        return self.z_idx[rows], self.x_idx[rows], self.cnt[rows]
 
     def exact_counts(self) -> np.ndarray:
         """The full |V_Z| × |V_X| counts matrix (= a complete Scan)."""
         out = np.zeros((len(self.z_values), len(self.x_values)), dtype=np.int64)
         np.add.at(out, (self.z_idx, self.x_idx), self.cnt)
         return out
-
-    def tuples_per_candidate(self) -> np.ndarray:
-        """N_i — total tuples per candidate (row sums of the exact counts)."""
-        return self.exact_counts().sum(axis=1)
 
 
 def build_counts_index(
@@ -129,7 +116,6 @@ def build_counts_index(
     z_values: list,
     x_values: list,
     n_blocks: int,
-    tuples_per_block: int,
 ) -> BlockCountsIndex:
     """One Spark aggregation over the whole layout → driver-side index.
 
@@ -150,7 +136,6 @@ def build_counts_index(
         z_values=list(z_values),
         x_values=list(x_values),
         n_blocks=n_blocks,
-        tuples_per_block=tuples_per_block,
         offsets=offsets,
         z_idx=zi[order],
         x_idx=xi[order],

@@ -17,8 +17,8 @@ behaviour depends on (see DESIGN.md §2):
   sequential block layout of §4.2 Challenge 1 is a valid random
   permutation (``_block_id`` is assigned directly at generation).
 
-SF semantics: SF = 1.0 → 6M rows (tests use SF = 0.01, benchmarks
-SF ≈ 0.4).  Everything is deterministic in ``seed``.
+SF semantics: SF = 1.0 → 6M rows (tests use SF = 0.01, ``jobs/``
+SF = 0.4).  Everything is deterministic in ``seed``.
 """
 from __future__ import annotations
 

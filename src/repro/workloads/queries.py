@@ -190,7 +190,6 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         z_values=z_values,
         x_values=x_values,
         n_blocks=ds.n_blocks,
-        tuples_per_block=ds.tuples_per_block,
     )
     exact = idx.exact_counts()
     if spec.target_kind == "candidate":

@@ -46,7 +46,6 @@ def test_bitmap_from_index_equals_spark_build(fl_bitmap):
         z_values=ds.meta.value_sets["origin"],
         x_values=ds.meta.value_sets["departure_hour"],
         n_blocks=ds.n_blocks,
-        tuples_per_block=ds.tuples_per_block,
     )
     np.testing.assert_array_equal(bitmap_from_index(idx), bm)
 
@@ -60,14 +59,16 @@ def test_bitmap_unknown_value_raises(datasets):
 @pytest.mark.parametrize("seed", range(10))
 def test_naive_equals_lookahead(seed):
     """Algorithm 2 (per-block early-exit probing) and Algorithm 3
-    (vectorized batch marking) select identical blocks."""
+    (vectorized batch marking) select identical blocks, on a 64-block
+    batch (FastMatch) and on every one-block batch (SyncMatch)."""
     rng = np.random.default_rng(seed)
     bm = rng.random((200, 40)) < 0.1
     active_mask = rng.random(40) < 0.3
-    blocks = rng.choice(200, size=64, replace=False)
-    naive = mark_naive(bm, np.flatnonzero(active_mask), blocks)
-    fast = mark_lookahead(bm, active_mask, blocks)
-    np.testing.assert_array_equal(naive, fast)
+    batches = [rng.choice(200, size=64, replace=False)] + [[b] for b in range(200)]
+    for blocks in batches:
+        naive = mark_naive(bm, np.flatnonzero(active_mask), blocks)
+        fast = mark_lookahead(bm, active_mask, blocks)
+        np.testing.assert_array_equal(naive, fast)
 
 
 def test_no_active_marks_nothing():

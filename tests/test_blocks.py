@@ -72,13 +72,7 @@ def fl_index(datasets):
         z_values=ds.meta.value_sets["origin"],
         x_values=ds.meta.value_sets["day_of_week"],
         n_blocks=ds.n_blocks,
-        tuples_per_block=ds.tuples_per_block,
     )
-
-
-def test_index_total_tuples(fl_index):
-    ds, idx = fl_index
-    assert idx.total_tuples == ds.n_rows
 
 
 def test_index_exact_counts_match_spark(fl_index):
@@ -95,35 +89,32 @@ def test_index_exact_counts_match_spark(fl_index):
     assert exact.sum() == ds.n_rows
 
 
-def test_index_slices_partition_everything(fl_index):
-    ds, idx = fl_index
-    total = 0
-    for b in range(idx.n_blocks):
-        zi, xi, cnt = idx.slice(b)
-        assert cnt.sum() <= ds.tuples_per_block
-        total += cnt.sum()
-    assert total == ds.n_rows
-
-
 def test_index_gather_matches_slices(fl_index):
-    _, idx = fl_index
-    zi, xi, cnt = idx.gather([3, 4, 5])
-    parts = [idx.slice(b) for b in (3, 4, 5)]
-    np.testing.assert_array_equal(zi, np.concatenate([p[0] for p in parts]))
-    np.testing.assert_array_equal(cnt, np.concatenate([p[2] for p in parts]))
+    """The offset-arithmetic gather equals explicit per-block
+    ``offsets[b]:offsets[b+1]`` slicing, concatenated in request order."""
+    ds, idx = fl_index
+    n = idx.n_blocks
+    rng = np.random.default_rng(0)
+    block_sets = [
+        rng.choice(n, size=50, replace=False),  # unordered, non-contiguous
+        np.sort(rng.choice(n, size=50, replace=False)),
+        [int(rng.integers(n))],  # a single block
+        np.arange(n - 3, n + 5) % n,  # a window that wraps past the last block
+        [],
+    ]
+    for blocks in block_sets:
+        got = idx.gather(blocks)
+        for arr, g in zip((idx.z_idx, idx.x_idx, idx.cnt), got):
+            want = [arr[:0]] + [arr[idx.offsets[b] : idx.offsets[b + 1]] for b in blocks]
+            np.testing.assert_array_equal(g, np.concatenate(want))
+    assert idx.gather(np.arange(n))[2].sum() == ds.n_rows
+    assert max(idx.gather([b])[2].sum() for b in range(n)) <= ds.tuples_per_block
 
 
 def test_index_gather_empty(fl_index):
     _, idx = fl_index
     zi, xi, cnt = idx.gather([])
     assert len(zi) == len(xi) == len(cnt) == 0
-
-
-def test_index_tuples_per_candidate(fl_index):
-    ds, idx = fl_index
-    per_cand = idx.tuples_per_candidate()
-    assert per_cand.sum() == ds.n_rows
-    assert per_cand.shape == (len(idx.z_values),)
 
 
 def test_index_unknown_value_raises(datasets):
@@ -136,5 +127,4 @@ def test_index_unknown_value_raises(datasets):
             z_values=["NOPE"],
             x_values=ds.meta.value_sets["day_of_week"],
             n_blocks=ds.n_blocks,
-            tuples_per_block=ds.tuples_per_block,
         )
