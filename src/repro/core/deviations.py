@@ -38,13 +38,19 @@ class DeviationChoice:
 def matching_set(tau: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k candidates with smallest τ (Definition 3).
 
-    Ties are broken by candidate index (stable sort) for determinism.
+    Ties are broken by candidate index, so the mask is exactly that of
+    ``np.argsort(tau, kind="stable")[:k]`` (for τ without NaN), found in
+    O(|V_Z|): the k-th smallest value comes from a partition, then the
+    candidates tied at it are taken in index order.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mask = np.zeros(tau.shape[0], dtype=bool)
-    mask[np.argsort(tau, kind="stable")[:k]] = True
+    if k >= tau.shape[0]:
+        return np.ones(tau.shape[0], dtype=bool)
+    kth = np.partition(tau, k - 1)[k - 1]
+    mask = tau < kth
+    mask[np.flatnonzero(tau == kth)[: k - np.count_nonzero(mask)]] = True
     return mask
 
 

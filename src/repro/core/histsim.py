@@ -19,9 +19,13 @@ Termination: HistSim/ScanMatch/SyncMatch/FastMatch stop when
 The *active* candidates of the AnyActive policy are those with
 δ_i > δ/|V_Z|.
 
-Each iteration is O(|V_Z|·|V_X| + |V_Z| log |V_Z|) (the paper's stated
-complexity — we keep the sort, as their implementation does), fully
-vectorized in numpy.
+Each iteration costs what its batch changed plus O(|V_Z|): τ_i is
+recomputed only for the candidates whose n_i moved since the last
+iteration (a one-block SyncMatch batch touches at most
+``tuples_per_block`` of them), M comes from a partition rather than a
+sort, and ε_i, δ_i are vectorized over all |V_Z|.  Every value is the
+same, bit for bit, as a full recompute with a stable sort
+(``tests/test_histsim.py`` checks this on random streams).
 """
 from __future__ import annotations
 
@@ -79,6 +83,9 @@ class HistSimState:
         self.delta = float(delta)
         self.totals = totals
         self.counts = np.zeros((n_candidates, self.d), dtype=np.int64)
+        self._n = np.zeros(n_candidates, dtype=np.int64)       # n_i, kept by update
+        self._n_seen = np.zeros(n_candidates, dtype=np.int64)  # n_i at the last iterate
+        self._tau = np.full(n_candidates, 2.0)                 # τ_i at the last iterate
         self.n_iterations = 0
         self.last: IterationResult | None = None
 
@@ -87,34 +94,56 @@ class HistSimState:
     @property
     def n(self) -> np.ndarray:
         """Samples taken per candidate (n_i)."""
-        return self.counts.sum(axis=1)
+        return self._n.copy()
 
     def update(self, z_idx, x_idx, cnt) -> None:
         """Merge aggregated samples: counts[z, x] += cnt (vectorized).
 
-        This is the statistics engine's r_i ← r_i + r_i^partial merge.
+        This is the statistics engine's r_i ← r_i + r_i^partial merge, one
+        add on the flat index z·|V_X| + x.  Raises ``ValueError``, and
+        merges nothing, if a z or x is out of range (the flat index would
+        fold it into a neighbouring cell) or a count is negative.
         """
-        np.add.at(self.counts, (np.asarray(z_idx), np.asarray(x_idx)), np.asarray(cnt))
+        z = np.asarray(z_idx, dtype=np.intp)
+        x = np.asarray(x_idx, dtype=np.intp)
+        cnt = np.asarray(cnt, dtype=np.int64)
+        if z.size and (
+            z.min() < 0 or z.max() >= self.n_candidates
+            or x.min() < 0 or x.max() >= self.d or cnt.min() < 0
+        ):
+            raise ValueError(
+                f"update needs 0 <= z < {self.n_candidates}, 0 <= x < {self.d} "
+                "and cnt >= 0"
+            )
+        np.add.at(self.counts.reshape(-1), z * self.d + x, cnt)
+        np.add.at(self._n, z, cnt)
 
     # -- one iteration of Algorithm 1 --------------------------------------
 
     def iterate(self) -> IterationResult:
-        """Lines 8–14 of Algorithm 1; returns (and stores) the snapshot."""
-        n = self.n
-        tau = l1_distances(self.counts, self.qhat)
+        """Lines 8–14 of Algorithm 1; returns (and stores) the snapshot.
+
+        τ_i is recomputed only where n_i changed since the last call: counts
+        only grow, so an unchanged n_i means an unchanged row.
+        """
+        n = self._n
+        changed = np.flatnonzero(n != self._n_seen)
+        self._tau[changed] = l1_distances(self.counts[changed], self.qhat)
+        self._n_seen[changed] = n[changed]
+        tau = self._tau
         choice = select_deviations(tau, self.k, self.eps)
         delta_i = np.asarray(
             delta_bound(n, np.maximum(choice.eps, 0.0), self.d), dtype=np.float64
         )
         delta_i[n == self.totals] = 0.0
         res = IterationResult(
-            tau=tau,
+            tau=tau.copy(),
             matching=choice.matching,
             eps_i=choice.eps,
             delta_i=delta_i,
             delta_upper=float(delta_i.sum()),
             split=choice.split,
-            n=n,
+            n=n.copy(),
         )
         self.n_iterations += 1
         self.last = res

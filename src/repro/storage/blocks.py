@@ -103,8 +103,9 @@ class BlockCountsIndex:
 
     def exact_counts(self) -> np.ndarray:
         """The full |V_Z| × |V_X| counts matrix (= a complete Scan)."""
-        out = np.zeros((len(self.z_values), len(self.x_values)), dtype=np.int64)
-        np.add.at(out, (self.z_idx, self.x_idx), self.cnt)
+        d = len(self.x_values)
+        out = np.zeros((len(self.z_values), d), dtype=np.int64)
+        np.add.at(out.reshape(-1), self.z_idx.astype(np.intp) * d + self.x_idx, self.cnt)
         return out
 
 

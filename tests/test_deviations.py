@@ -20,6 +20,19 @@ def test_matching_set_ties_stable():
     assert list(np.flatnonzero(m)) == [0, 1]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_matching_set_equals_stable_argsort_on_ties(seed):
+    """On tie-heavy τ, for every k, M is the stable argsort's first k."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    tau = rng.choice([0.0, 0.3, 0.7, 1.2, 2.0], size=n)
+    order = np.argsort(tau, kind="stable")
+    for k in range(1, n + 1):
+        want = np.zeros(n, dtype=bool)
+        want[order[:k]] = True
+        np.testing.assert_array_equal(matching_set(tau, k), want)
+
+
 def test_matching_set_bad_k():
     with pytest.raises(ValueError):
         matching_set(np.array([0.1]), 0)

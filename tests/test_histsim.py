@@ -63,6 +63,24 @@ def test_update_accumulates_duplicates():
     assert list(st.n) == [8, 7, 0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "z, x, cnt",
+    [
+        ([0, -1], [0, 0], [1, 1]),  # z below range
+        ([0, 5], [0, 0], [1, 1]),   # z = |V_Z|
+        ([0, 1], [0, -1], [1, 1]),  # x below range
+        ([0, 1], [0, 4], [1, 1]),   # x = |V_X|: would fold into row 2
+        ([0, 1], [0, 1], [1, -1]),  # negative count
+    ],
+    ids=["z-neg", "z-high", "x-neg", "x-high", "cnt-neg"],
+)
+def test_update_rejects_out_of_range(z, x, cnt):
+    st = make_state()  # 5 candidates, 4 bins
+    with pytest.raises(ValueError):
+        st.update(z, x, cnt)
+    assert not st.counts.any() and not st.n.any()
+
+
 def test_iterate_known_small_case():
     st = make_state(n_cand=3, d=2, k=1, eps=0.2, target=[1, 1])
     st.update([0, 0, 1, 1, 2], [0, 1, 0, 0, 0], [10, 10, 20, 0, 4])
@@ -188,3 +206,79 @@ def test_iteration_count_tracked():
     st.iterate()
     st.iterate()
     assert st.n_iterations == 2
+
+
+# -- incremental statistics vs a from-scratch recompute ------------------
+
+
+def full_recompute(counts, totals, qhat, k, eps):
+    """Algorithm 1 lines 8–14 from scratch: τ over every row, M from a
+    stable argsort, the §3.3 deviations and Theorem 1's δ_i."""
+    n = counts.sum(axis=1)
+    tau = l1_distances(counts, qhat)
+    m = np.zeros(len(tau), dtype=bool)
+    m[np.argsort(tau, kind="stable")[:k]] = True
+    if m.all():
+        eps_i = np.full(len(tau), eps)
+    else:
+        s = (tau[m].max() + tau[~m].min()) / 2.0
+        eps_i = np.where(m, np.minimum(eps, s + eps / 2.0 - tau), tau - max(s - eps / 2.0, 0.0))
+    delta_i = np.asarray(delta_bound(n, np.maximum(eps_i, 0.0), counts.shape[1]), dtype=np.float64)
+    delta_i[n == totals] = 0.0
+    return tau, m, eps_i, delta_i, float(delta_i.sum())
+
+
+def random_stream(rng, n_cand, d, steps):
+    """Batches of (z, x, cnt) triples: some empty, with repeated
+    candidates and cells, and small counts so that τ ties are common."""
+    stream = []
+    for _ in range(steps):
+        size = 0 if rng.random() < 0.15 else int(rng.integers(1, 3 * n_cand))
+        hot = rng.choice(n_cand, size=max(1, n_cand // 3), replace=False)
+        stream.append((rng.choice(hot, size), rng.integers(0, d, size), rng.integers(0, 3, size)))
+    return stream
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("k_pick", ["one", "mid", "all"])
+def test_incremental_matches_full_recompute(seed, k_pick):
+    """Every iteration's τ, M, ε_i, δ_i and δ^upper equal a from-scratch
+    recompute exactly, and no snapshot changes after a later iteration."""
+    rng = np.random.default_rng(seed)
+    n_cand, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+    k = {"one": 1, "mid": max(1, n_cand // 3), "all": n_cand}[k_pick]
+    # Zero target bins give sampled candidates τ = 2, tied with the unsampled.
+    target = rng.integers(0, 3, d).astype(float)
+    target[0] = 1.0
+    stream = random_stream(rng, n_cand, d, steps=40)
+    final = np.zeros((n_cand, d), dtype=np.int64)
+    for z, x, cnt in stream:
+        np.add.at(final, (z, x), cnt)
+    # Candidate 0 and about a third of the rest are exhausted once the
+    # stream ends (the never-sampled ones among them from the start).
+    exhaust = rng.random(n_cand) < 1 / 3
+    exhaust[0] = True
+    totals = np.where(exhaust, final.sum(axis=1), BIG)
+    st = HistSimState(n_cand, target, k, 0.2, 0.05, totals)
+    counts = np.zeros((n_cand, d), dtype=np.int64)
+    prev = prev_copy = None
+    for z, x, cnt in stream:
+        st.update(z, x, cnt)
+        np.add.at(counts, (z, x), cnt)
+        res = st.iterate()
+        tau, m, eps_i, delta_i, upper = full_recompute(counts, totals, st.qhat, k, 0.2)
+        np.testing.assert_array_equal(st.counts, counts)
+        assert np.array_equal(res.tau, tau)
+        assert np.array_equal(res.matching, m)
+        assert np.array_equal(res.eps_i, eps_i)
+        assert np.array_equal(res.delta_i, delta_i)
+        assert res.delta_upper == upper
+        assert np.array_equal(res.n, counts.sum(axis=1))
+        if prev is not None:
+            for name, value in prev_copy.items():
+                assert np.array_equal(getattr(prev, name), value), name
+        prev = res
+        prev_copy = {
+            name: getattr(res, name).copy()
+            for name in ("tau", "matching", "eps_i", "delta_i", "n")
+        }
