@@ -24,7 +24,7 @@ Two execution modes share this loop:
 * ``mode="spark"`` — each batch's selected blocks are fetched with a
   real Spark filter + ``GROUP BY`` job (the distributed sample+aggregate
   path);
-* ``mode="replay"`` — per-block counts come from the prefetched
+* ``mode="replay"`` — batches are gathered from the rows' codes in
   :class:`~repro.storage.blocks.BlockCountsIndex`; identical decisions,
   identical blocks read (tested), with statistics / decision cost
   measured on the driver for the cost model.
@@ -107,7 +107,7 @@ def _fetch_spark(pq: PreparedQuery, block_ids=None) -> tuple[np.ndarray, np.ndar
     """One distributed sample+aggregate round over the selected blocks
     (all blocks when ``block_ids`` is None), as encoded triples."""
     z, x = pq.spec.z, pq.spec.x
-    pdf = block_counts(pq.ds.sdf, z, x, block_ids=block_ids, per_block=False).toPandas()
+    pdf = block_counts(pq.ds.sdf, z, x, block_ids=block_ids).toPandas()
     return (
         encode(pdf[z], pq.z_values, z),
         encode(pdf[x], pq.x_values, x),

@@ -2,9 +2,9 @@
 
 The paper's FastMatch reads 4 KiB disk blocks over a randomly permuted
 row-store (§4.2 Challenge 1).  Here a *block* is a ``_block_id`` column
-over the (already exchangeable) generated row order; per-block counts
-and the per-(candidate, block) bitmap index are built with Spark
-DataFrame aggregations.
+over the (already exchangeable) generated row order.  Replay reads the
+rows' vocabulary codes and derives the bitmap index from them; spark
+batches and the Scan run one Spark ``GROUP BY z, x``.
 """
 from repro.storage.blocks import (  # noqa: F401
     BLOCK_COL,

@@ -39,7 +39,7 @@ def build_bitmap(df: DataFrame, z: str, *, z_values: list, n_blocks: int) -> np.
 
 
 def bitmap_from_index(idx: BlockCountsIndex) -> np.ndarray:
-    """Derive the same bitmap from a prefetched counts index (no extra job)."""
+    """Derive the same bitmap from the counts index (no Spark job)."""
     out = np.zeros((idx.n_blocks, len(idx.z_values)), dtype=bool)
     block_of = np.repeat(
         np.arange(idx.n_blocks, dtype=np.int64), np.diff(idx.offsets)

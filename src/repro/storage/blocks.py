@@ -1,4 +1,4 @@
-"""Blocked data layout and per-block count aggregation.
+"""Blocked data layout, the replay-mode counts index and block aggregation.
 
 FastMatch's I/O manager reads fixed-size blocks of a randomly permuted
 row-store.  We reproduce the layout with a ``_block_id`` column:
@@ -7,13 +7,12 @@ permutation of the rows.  The workload generators emit i.i.d. rows, so
 their native order is already exchangeable and block ids are assigned
 directly at generation.
 
-Per-block (candidate, bin) counts — the unit the sampling engine hands
-to the statistics engine (r_i^partial in §4.2) — are computed by a
-Spark ``GROUP BY _block_id, z, x`` aggregation, either per round over a
-selected set of blocks (:func:`block_counts`) or once over the whole
-dataset into a driver-side CSR-style index for replay-mode runs
-(:class:`BlockCountsIndex`).  Every aggregate comes back as Z/X
-*values*; :func:`encode` is the one place they become vocabulary indices.
+:func:`encode` is the one place Z/X values become vocabulary indices.
+Replay mode reads the generated rows' codes: block ``b`` is rows
+``[b·tpb, (b+1)·tpb)`` of the code arrays, held as a CSR-style
+driver-side index (:class:`BlockCountsIndex`) with no aggregation.
+Spark batches and the exact Scan run :func:`block_counts`, a
+``GROUP BY z, x`` over the selected blocks of the cached relation.
 """
 from __future__ import annotations
 
@@ -57,28 +56,24 @@ def encode(values, vocabulary: list, column: str) -> np.ndarray:
     return codes.astype(np.int32)
 
 
-def block_counts(
-    df: DataFrame, z: str, x: str, block_ids=None, *, per_block: bool = True
-) -> DataFrame:
-    """Sampled-block aggregation: counts per (block, candidate, bin).
+def block_counts(df: DataFrame, z: str, x: str, block_ids=None) -> DataFrame:
+    """Sampled-block aggregation: counts per (candidate, bin).
 
     This is the distributed sample+aggregate round: filter to the blocks
-    the sampling engine selected, then ``GROUP BY``.  With
-    ``per_block=False`` the block dimension is rolled up (spark-mode
-    batches only need the batch total).
+    the sampling engine selected (all blocks when ``block_ids`` is None),
+    then ``GROUP BY z, x``.
     """
     if block_ids is not None:
         ids = [int(b) for b in block_ids]
         df = df.filter(F.col(BLOCK_COL).isin(ids))
-    keys = ([BLOCK_COL] if per_block else []) + [z, x]
-    return df.groupBy(*keys).agg(F.count(F.lit(1)).alias("cnt"))
+    return df.groupBy(z, x).agg(F.count(F.lit(1)).alias("cnt"))
 
 
 @dataclass
 class BlockCountsIndex:
     """CSR-style per-block counts on the driver, for replay-mode runs.
 
-    Rows are sorted by block id; ``offsets[b]:offsets[b+1]`` slices the
+    Triples are in block order; ``offsets[b]:offsets[b+1]`` slices the
     (candidate-index, bin-index, count) triples of block ``b``.
     ``z_values`` / ``x_values`` give the index → value mapping used
     throughout the engine.
@@ -110,35 +105,25 @@ class BlockCountsIndex:
 
 
 def build_counts_index(
-    df: DataFrame,
-    z: str,
-    x: str,
+    z_codes: np.ndarray,
+    x_codes: np.ndarray,
     *,
     z_values: list,
     x_values: list,
     n_blocks: int,
+    tuples_per_block: int,
 ) -> BlockCountsIndex:
-    """One Spark aggregation over the whole layout → driver-side index.
-
-    Used to prefetch replay-mode runs and to derive exact ground truth;
-    equivalent by construction to running :func:`block_counts` over
-    every block (tested against the DuckDB oracle).
-    """
-    pdf = block_counts(df, z, x, per_block=True).toPandas()
-    zi = encode(pdf[z], z_values, z)
-    xi = encode(pdf[x], x_values, x)
-    blocks = pdf[BLOCK_COL].to_numpy(dtype=np.int64)
-    order = np.argsort(blocks, kind="stable")
-    blocks = blocks[order]
-    offsets = np.searchsorted(blocks, np.arange(n_blocks + 1), side="left").astype(
-        np.int64
-    )
+    """The replay-mode index over the rows' codes: block ``b`` is rows
+    ``[b·tpb, (b+1)·tpb)`` and each row is one triple with count 1, so
+    nothing is aggregated (tested against the DuckDB oracle)."""
+    n = len(z_codes)
+    offsets = np.minimum(np.arange(n_blocks + 1, dtype=np.int64) * tuples_per_block, n)
     return BlockCountsIndex(
         z_values=list(z_values),
         x_values=list(x_values),
         n_blocks=n_blocks,
         offsets=offsets,
-        z_idx=zi[order],
-        x_idx=xi[order],
-        cnt=pdf["cnt"].to_numpy(dtype=np.int64)[order],
+        z_idx=z_codes,
+        x_idx=x_codes,
+        cnt=np.ones(n, dtype=np.int64),
     )

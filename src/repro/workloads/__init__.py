@@ -4,6 +4,6 @@
   (Table 2 analogs), deterministic in (sf, seed).
 * :mod:`repro.workloads.queries` — the nine Table 3 query specs and
   target computation, plus :func:`repro.workloads.queries.prepare`
-  which builds everything a run needs (blocked Spark DataFrame, vocabularies,
-  bitmap, counts index, exact ground truth).
+  which builds everything a run needs from the loaded rows' codes, with
+  no Spark job (vocabularies, bitmap, counts index, exact ground truth).
 """

@@ -16,10 +16,10 @@ variant to read nearly everything and flatten the comparison.  We pick
 tuple count as in the paper (see EXPERIMENTS.md for the arithmetic);
 ``paper_eps`` records the paper's setting.
 
-:func:`load_dataset` + :func:`prepare` build everything a run needs:
-the blocked, cached Spark DataFrame, vocabularies, the bitmap index,
-the replay-mode counts index, and exact ground truth (counts and true
-distances τ*).
+:func:`load_dataset` caches the blocked Spark DataFrame and encodes each
+vocabulary column once into row-order codes; :func:`prepare` builds the
+rest from those codes alone, with no Spark job: the replay-mode counts
+index, the bitmap index, and exact ground truth (counts and true τ*).
 """
 from __future__ import annotations
 
@@ -90,6 +90,7 @@ class LoadedDataset:
     n_rows: int
     tuples_per_block: int
     n_blocks: int
+    codes: dict = field(repr=False)  # column → int32 codes, row (= block) order
 
 
 def load_dataset(
@@ -100,7 +101,8 @@ def load_dataset(
     tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK,
     seed: int | None = None,
 ) -> LoadedDataset:
-    """Generate + register one dataset (cached; one Spark materialization)."""
+    """Generate + register one dataset (cached; one Spark materialization)
+    and encode each vocabulary column once; NULL / unseen values raise."""
     kwargs = {"sf": sf, "tuples_per_block": tuples_per_block}
     if seed is not None:
         kwargs["seed"] = seed
@@ -115,6 +117,7 @@ def load_dataset(
         n_rows=n_rows,
         tuples_per_block=tuples_per_block,
         n_blocks=n_blocks,
+        codes={c: encode(pdf[c], vocab, c) for c, vocab in meta.value_sets.items()},
     )
 
 
@@ -152,7 +155,7 @@ class PreparedQuery:
 
 
 def compute_target(
-    spec: QuerySpec, x_values: list, exact_counts: np.ndarray
+    spec: QuerySpec, z_values: list, x_values: list, exact_counts: np.ndarray
 ) -> tuple[np.ndarray, str]:
     """Resolve a spec's visual target Q as a vector over x_values."""
     if spec.target_kind == "explicit":
@@ -162,8 +165,8 @@ def compute_target(
         vec = np.array([float(spec.target_arg.get(v, 0.0)) for v in x_values])
         return vec, "explicit distribution"
     if spec.target_kind == "candidate":
-        # z_values is sorted and target_arg must be present in it.
-        raise RuntimeError("candidate targets are resolved in prepare()")
+        zi = encode([spec.target_arg], z_values, spec.z)[0]
+        return exact_counts[zi].astype(np.float64), f"candidate {spec.target_arg}"
     if spec.target_kind == "uniform_closest":
         uni = np.full(len(x_values), 1.0 / len(x_values))
         tau_uni = l1_distances(exact_counts, uni)
@@ -175,28 +178,24 @@ def compute_target(
 def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
     """Build indexes, ground truth, and the target for one query.
 
-    The per-block counts index comes from one Spark aggregation over the
-    blocked layout; the bitmap and exact ground truth are derived from
-    it (tests verify both against independent Spark/DuckDB paths).
+    Everything comes from the dataset's codes, with no Spark job: the
+    counts index, then the bitmap and exact ground truth derived from it
+    (tests verify both against independent Spark/DuckDB paths).
     """
     if spec.dataset != ds.name:
         raise ValueError(f"query {spec.qid} does not belong to dataset {ds.name}")
     z_values = list(ds.meta.value_sets[spec.z])
     x_values = list(ds.meta.value_sets[spec.x])
     idx = build_counts_index(
-        ds.sdf,
-        spec.z,
-        spec.x,
+        ds.codes[spec.z],
+        ds.codes[spec.x],
         z_values=z_values,
         x_values=x_values,
         n_blocks=ds.n_blocks,
+        tuples_per_block=ds.tuples_per_block,
     )
     exact = idx.exact_counts()
-    if spec.target_kind == "candidate":
-        zi = encode([spec.target_arg], z_values, spec.z)[0]
-        target, desc = exact[zi].astype(np.float64), f"candidate {spec.target_arg}"
-    else:
-        target, desc = compute_target(spec, x_values, exact)
+    target, desc = compute_target(spec, z_values, x_values, exact)
     return PreparedQuery(
         spec=spec,
         ds=ds,

@@ -40,12 +40,12 @@ def test_bitmap_matches_data(fl_bitmap):
 def test_bitmap_from_index_equals_spark_build(fl_bitmap):
     ds, bm = fl_bitmap
     idx = build_counts_index(
-        ds.sdf,
-        "origin",
-        "departure_hour",
+        ds.codes["origin"],
+        ds.codes["departure_hour"],
         z_values=ds.meta.value_sets["origin"],
         x_values=ds.meta.value_sets["departure_hour"],
         n_blocks=ds.n_blocks,
+        tuples_per_block=ds.tuples_per_block,
     )
     np.testing.assert_array_equal(bitmap_from_index(idx), bm)
 

@@ -1,4 +1,5 @@
-"""Blocked layout + per-block count aggregation, oracle-checked."""
+"""Blocked layout, the guarded decoder and the counts index, oracle-checked."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,7 +10,9 @@ from repro.storage.blocks import (
     add_block_ids,
     block_counts,
     build_counts_index,
+    encode,
 )
+from repro.workloads.queries import QUERIES
 
 
 # -- pandas block assignment -------------------------------------------------
@@ -31,26 +34,20 @@ def test_add_block_ids_bad_tpb():
 
 
 def test_block_counts_oracle(datasets):
-    """Per-block counts, and the full-data histogram query of Definition 1
-    (``per_block=False``, what Scan runs)."""
+    """The full-data histogram query of Definition 1 (what Scan runs)."""
     ds = datasets["flights"]
-    pdf = ds.sdf.toPandas()
-    for per_block in (True, False):
-        keys = f"{BLOCK_COL}, " if per_block else ""
-        got = block_counts(ds.sdf, "origin", "day_of_week", per_block=per_block)
-        assert_equivalent(
-            got,
-            f"SELECT {keys}origin, day_of_week, COUNT(*) AS cnt "
-            "FROM flights GROUP BY ALL",
-            flights=pdf,
-        )
+    assert_equivalent(
+        block_counts(ds.sdf, "origin", "day_of_week"),
+        "SELECT origin, day_of_week, COUNT(*) AS cnt FROM flights GROUP BY ALL",
+        flights=ds.sdf.toPandas(),
+    )
 
 
 def test_block_counts_filtered_oracle(datasets):
     ds = datasets["flights"]
     pdf = ds.sdf.toPandas()
     ids = [0, 5, 10, 11]
-    got = block_counts(ds.sdf, "origin", "day_of_week", block_ids=ids, per_block=False)
+    got = block_counts(ds.sdf, "origin", "day_of_week", block_ids=ids)
     assert_equivalent(
         got,
         "SELECT origin, day_of_week, COUNT(*) AS cnt FROM flights "
@@ -66,12 +63,12 @@ def test_block_counts_filtered_oracle(datasets):
 def fl_index(datasets):
     ds = datasets["flights"]
     return ds, build_counts_index(
-        ds.sdf,
-        "origin",
-        "day_of_week",
+        ds.codes["origin"],
+        ds.codes["day_of_week"],
         z_values=ds.meta.value_sets["origin"],
         x_values=ds.meta.value_sets["day_of_week"],
         n_blocks=ds.n_blocks,
+        tuples_per_block=ds.tuples_per_block,
     )
 
 
@@ -117,14 +114,54 @@ def test_index_gather_empty(fl_index):
     assert len(zi) == len(xi) == len(cnt) == 0
 
 
-def test_index_unknown_value_raises(datasets):
-    ds = datasets["flights"]
-    with pytest.raises(ValueError):
-        build_counts_index(
-            ds.sdf,
-            "origin",
-            "day_of_week",
-            z_values=["NOPE"],
-            x_values=ds.meta.value_sets["day_of_week"],
-            n_blocks=ds.n_blocks,
-        )
+@pytest.mark.parametrize(
+    "qid", sorted(q for q, spec in QUERIES.items() if spec.dataset in ("flights", "taxi"))
+)
+def test_index_blocks_oracle(qid, prepared):
+    """Every block's (z, x) counts from ``gather([b])`` equal DuckDB's
+    ``GROUP BY _block_id, z, x`` over the Spark relation, so the driver's
+    codes and the relation hold the same rows in the same blocks."""
+    pq = prepared[qid]
+    z, x, idx = pq.spec.z, pq.spec.x, pq.counts_index
+    blocks = [idx.gather([b]) for b in range(idx.n_blocks)]
+    got = (
+        pd.DataFrame({
+            BLOCK_COL: np.repeat(np.arange(idx.n_blocks), [len(c) for _, _, c in blocks]),
+            z: np.asarray(idx.z_values)[np.concatenate([zi for zi, _, _ in blocks])],
+            x: np.asarray(idx.x_values)[np.concatenate([xi for _, xi, _ in blocks])],
+            "cnt": np.concatenate([c for _, _, c in blocks]),
+        })
+        .groupby([BLOCK_COL, z, x], as_index=False)["cnt"].sum()
+    )
+    con = duckdb.connect()
+    con.register("data", pq.ds.sdf.toPandas())
+    want = con.execute(
+        f"SELECT {BLOCK_COL}, {z}, {x}, COUNT(*) AS cnt FROM data GROUP BY ALL"
+    ).fetchdf()
+    con.close()
+    keys = [BLOCK_COL, z, x]
+    pd.testing.assert_frame_equal(
+        got.sort_values(keys).reset_index(drop=True),
+        want.sort_values(keys).reset_index(drop=True),
+        check_dtype=False,
+    )
+
+
+# -- the guarded decoder -----------------------------------------------------
+
+
+def test_encode_rejects_null_and_unseen():
+    """Valid values map to their int32 vocabulary indices; a NULL or an
+    unseen value raises an error naming the column, for string and int
+    vocabularies alike."""
+    cases = [
+        (["a", "b", "c"], np.array(["c", "a", "a", "b"], dtype=object), "z"),
+        ([1, 2, 3], np.array([3, 1, 1, 2], dtype=np.int32), 7),
+    ]
+    for vocab, good, unseen in cases:
+        codes = encode(pd.Series(good), vocab, "col")
+        assert codes.dtype == np.int32
+        np.testing.assert_array_equal(codes, [2, 0, 0, 1])
+        for bad in ([good[0], None], [good[0], unseen]):
+            with pytest.raises(ValueError, match="'col'"):
+                encode(pd.Series(bad), vocab, "col")

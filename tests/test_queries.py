@@ -1,4 +1,6 @@
-"""Query specs (Table 3) and the prepare() pipeline."""
+"""Query specs (Table 3), load_dataset's codes and the prepare() pipeline."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from repro.core.distance import l1_distances
 from repro.oracle import assert_equivalent
 from repro.workloads import datasets as wd
 from repro.workloads.queries import QUERIES, QuerySpec, compute_target, prepare
+
+from .conftest import SF_TEST
 
 
 def test_nine_queries_match_table3():
@@ -69,20 +73,39 @@ def test_explicit_target_vector(prepared):
 
 
 def test_compute_target_errors():
-    with pytest.raises(ValueError):
-        compute_target(
-            QuerySpec("flights", "qx", "origin", "day_of_week", 5, 0.1, 0.06,
-                      "explicit", {99: 1.0}),
-            [1, 2, 3],
-            np.ones((2, 3)),
-        )
-    with pytest.raises(ValueError):
-        compute_target(
-            QuerySpec("flights", "qx", "origin", "day_of_week", 5, 0.1, 0.06,
-                      "bogus"),
-            [1, 2, 3],
-            np.ones((2, 3)),
-        )
+    for kind, arg in (("explicit", {99: 1.0}), ("candidate", "ORG999"), ("bogus", None)):
+        with pytest.raises(ValueError):
+            compute_target(
+                QuerySpec("flights", "qx", "origin", "day_of_week", 5, 0.1, 0.06,
+                          kind, arg),
+                ["ORG000", "ORG001"],
+                [1, 2, 3],
+                np.ones((2, 3)),
+            )
+
+
+@pytest.mark.parametrize("name", ["flights", "taxi", "police"])
+def test_codes_decode_to_generated_columns(name, datasets):
+    """Decoding ``ds.codes`` through the vocabulary gives back the
+    generator's own columns (same SF, same default seed), row for row."""
+    ds = datasets[name]
+    pdf, meta = wd.generate(name, sf=SF_TEST)
+    assert len(pdf) == ds.n_rows
+    assert set(ds.codes) == set(meta.value_sets)
+    for col, vocab in meta.value_sets.items():
+        assert ds.codes[col].dtype == np.int32
+        np.testing.assert_array_equal(np.asarray(vocab)[ds.codes[col]], pdf[col].to_numpy())
+
+
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_prepare_needs_no_spark(qid, prepared):
+    """prepare() reads only the dataset's codes: without the Spark
+    relation it builds the same ground truth, bitmap and target as the
+    DuckDB-checked ``prepared`` fixture."""
+    pq = prepared[qid]
+    bare = prepare(dataclasses.replace(pq.ds, sdf=None), pq.spec)
+    for field in ("exact_counts", "bitmap_t", "target", "tau_star"):
+        np.testing.assert_array_equal(getattr(bare, field), getattr(pq, field))
 
 
 def test_prepare_wrong_dataset_raises(datasets):
