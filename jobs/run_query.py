@@ -38,7 +38,7 @@ def main() -> None:
 
     if args.variant == "scan":
         s = run_scan(pq)
-        print(f"scan: wall={s.wall:.3f}s rows={s.n_rows}")
+        print(f"scan: wall={s.wall:.4f}s rows={ds.n_rows}")
         print("top-k:", [pq.z_values[i] for i in s.topk_idx])
     else:
         r = run_variant(
@@ -54,7 +54,7 @@ def main() -> None:
             f"blocks={r.blocks_read}/{r.blocks_considered} "
             f"stat_iters={r.n_stat_iters} stats={r.time_stats:.3f}s "
             f"decide={r.time_decide:.3f}s wall={r.wall:.3f}s "
-            f"delta_upper={r.delta_upper:.2e}"
+            f"delta_upper={r.delta_upper:.2e} stop={r.stop_reason}"
         )
         print(
             f"guarantee1={g1} guarantee2={g2} "

@@ -6,8 +6,8 @@ Usage::
                           [--delta 0.01] [--lookahead 512] [--seed 0]
 
 Prints our table next to the paper's numbers, plus per-variant read
-fractions and guarantee/Δ_d verification.  EXPERIMENTS.md records one
-canonical run.
+fractions, guarantee/Δ_d verification and why the runs stopped.
+EXPERIMENTS.md records one canonical run.
 """
 import argparse
 
@@ -57,7 +57,8 @@ def main() -> None:
                 f"{e.qid:<11} {v:<10} read={s.read_fraction:7.1%} "
                 f"stats={s.time_stats:7.3f}s decide={s.time_decide:7.3f}s "
                 f"iters={s.n_stat_iters:9.1f} viol={s.guarantee_violations} "
-                f"delta_d={s.delta_d_mean:.4f}"
+                f"delta_d={s.delta_d_mean:.4f} "
+                f"stop={','.join(f'{k}:{n}' for k, n in sorted(s.stop_reasons.items()))}"
             )
     spark.stop()
 

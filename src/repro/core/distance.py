@@ -2,8 +2,8 @@
 
 numpy over the |V_Z| × |V_X| counts matrix — the paper's statistics
 engine is likewise in-core.  HistSim's iterations, exact ground truth
-and the ``Scan`` baseline (one Spark ``GROUP BY z, x``, then this) all
-use it.
+and the ``Scan`` baseline (one ``bincount`` over the codes, then this)
+all use it.
 """
 from __future__ import annotations
 

@@ -1,7 +1,6 @@
 """The FastMatch engine: block-choice policies, the round loop for every
-§5.2 variant (Scan / SlowMatch / ScanMatch / SyncMatch / FastMatch), and
-the calibrated latency model used for Table 4 (see DESIGN.md §2 for why
-wall-clock is modeled rather than taken raw from Spark job times).
+§5.2 variant (Scan / SlowMatch / ScanMatch / SyncMatch / FastMatch) and
+the exact Scan, all timed in real wall clock (see DESIGN.md §2).
 """
 from repro.engine.runner import (  # noqa: F401
     APPROX_VARIANTS,
@@ -10,4 +9,3 @@ from repro.engine.runner import (  # noqa: F401
     run_scan,
     run_variant,
 )
-from repro.engine.costmodel import CostModel  # noqa: F401

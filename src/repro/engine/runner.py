@@ -26,14 +26,17 @@ Two execution modes share this loop:
   path);
 * ``mode="replay"`` — batches are gathered from the rows' codes in
   :class:`~repro.storage.blocks.BlockCountsIndex`; identical decisions,
-  identical blocks read (tested), with statistics / decision cost
-  measured on the driver for the cost model.
+  identical blocks read (tested), all in driver memory, so a run's wall
+  time is what Table 4 compares with the exact Scan over the same codes.
 
 The loop walks blocks sequentially from a (seeded-random) start with
 wraparound — the paper's "linear scan of the shuffled data starting
 from any point".  A candidate whose every tuple has been read (n_i = N_i)
 is exhausted (its histogram is exact → δ_i = 0), which is how a run that
-ends up reading everything terminates with the exact answer.
+ends up reading everything terminates with the exact answer.  Each run
+records why it stopped: ``"sum_delta"`` (Σ δ_i ≤ δ), ``"max_delta"``
+(SlowMatch's max δ_i ≤ δ/|V_Z|) or ``"exhausted"`` (every block
+considered).
 """
 from __future__ import annotations
 
@@ -80,7 +83,7 @@ class RunResult:
     tau_est: np.ndarray            # final distance estimates τ_i
     est_counts: np.ndarray = field(repr=False, default=None)  # final r_i
     delta_upper: float = float("nan")
-    terminated_early: bool = False
+    stop_reason: str = ""          # "sum_delta" | "max_delta" | "exhausted"
     tuples_read: int = 0
     blocks_read: int = 0
     blocks_considered: int = 0
@@ -88,24 +91,23 @@ class RunResult:
     n_stat_iters: int = 0
     time_stats: float = 0.0        # measured HistSim iteration time (s)
     time_decide: float = 0.0       # measured block-selection time (s)
-    time_fetch: float = 0.0        # spark-mode fetch time (s); replay gather excluded from model
-    wall: float = 0.0
+    time_fetch: float = 0.0        # measured fetch time (s): spark job or replay gather
+    wall: float = 0.0              # the whole run after argument checks (s)
 
 
 @dataclass
 class ScanResult:
-    """The exact baseline: one full ``GROUP BY z, x``, measured wall time."""
+    """The exact baseline: one count over every row, measured wall time."""
 
     qid: str
     topk_idx: np.ndarray
     tau: np.ndarray
     wall: float
-    n_rows: int
 
 
-def _fetch_spark(pq: PreparedQuery, block_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One distributed sample+aggregate round over the selected blocks
-    (all blocks when ``block_ids`` is None), as encoded triples."""
+def _fetch_spark(pq: PreparedQuery, block_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One distributed sample+aggregate round over the selected blocks,
+    as encoded triples."""
     z, x = pq.spec.z, pq.spec.x
     pdf = block_counts(pq.ds.sdf, z, x, block_ids=block_ids).toPandas()
     return (
@@ -141,6 +143,7 @@ def run_variant(
     if not 0 <= start_block < n_blocks:
         raise ValueError(f"start_block must be in [0, {n_blocks}), got {start_block}")
 
+    wall0 = time.perf_counter()
     state = HistSimState(
         pq.n_candidates, pq.target, pq.spec.k, eps, delta, pq.exact_counts.sum(axis=1)
     )
@@ -152,7 +155,6 @@ def run_variant(
         lookahead=lookahead, start_block=start_block, mode=mode,
         topk_idx=None, tau_est=None,
     )
-    wall0 = time.perf_counter()
     pos = 0
     terminated = False
     while pos < n_blocks and not terminated:
@@ -190,9 +192,12 @@ def run_variant(
 
     if state.last is None:  # pathological: nothing was ever read
         state.iterate()
-    res.wall = time.perf_counter() - wall0
-    res.terminated_early = terminated
     res.topk_idx = state.topk_indices()
+    res.wall = time.perf_counter() - wall0
+    if res.blocks_considered == n_blocks:
+        res.stop_reason = "exhausted"
+    else:
+        res.stop_reason = "max_delta" if spec.criterion == "slowmatch" else "sum_delta"
     res.tau_est = state.last.tau
     res.est_counts = state.counts
     res.delta_upper = state.last.delta_upper
@@ -200,18 +205,19 @@ def run_variant(
 
 
 def run_scan(pq: PreparedQuery) -> ScanResult:
-    """The exact ``Scan`` baseline: one full ``GROUP BY z, x``, timed.
+    """The exact ``Scan`` baseline: one ``bincount`` over every row, timed.
 
-    Decodes the aggregate into the |V_Z| × |V_X| counts matrix, then
-    computes every candidate's distance and the top-k on the driver —
-    the same numpy math as ground truth.  Always correct; its measured
-    wall time calibrates the cost model's per-tuple I/O rate.
+    Counts the query's z/x codes (the arrays every replay batch gathers
+    from) into the |V_Z| × |V_X| matrix, then computes every candidate's
+    distance and the top-k, the same numpy math as ground truth.  Always
+    correct, and launches no Spark job; Table 4 divides its wall time by
+    each variant's.
     """
+    idx = pq.counts_index
     t0 = time.perf_counter()
-    zi, xi, cnt = _fetch_spark(pq)
-    counts = np.zeros((pq.n_candidates, pq.d), dtype=np.int64)
-    counts[zi, xi] = cnt
+    flat = idx.z_idx.astype(np.intp) * pq.d + idx.x_idx
+    counts = np.bincount(flat, minlength=pq.n_candidates * pq.d).reshape(pq.n_candidates, pq.d)
     tau = l1_distances(counts, pq.target)
     topk = np.argsort(tau, kind="stable")[: pq.spec.k]
     wall = time.perf_counter() - t0
-    return ScanResult(qid=pq.spec.qid, topk_idx=topk, tau=tau, wall=wall, n_rows=pq.ds.n_rows)
+    return ScanResult(qid=pq.spec.qid, topk_idx=topk, tau=tau, wall=wall)

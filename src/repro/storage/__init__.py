@@ -2,9 +2,10 @@
 
 The paper's FastMatch reads 4 KiB disk blocks over a randomly permuted
 row-store (§4.2 Challenge 1).  Here a *block* is a ``_block_id`` column
-over the (already exchangeable) generated row order.  Replay reads the
-rows' vocabulary codes and derives the bitmap index from them; spark
-batches and the Scan run one Spark ``GROUP BY z, x``.
+over the (already exchangeable) generated row order.  Replay and the
+exact Scan read the rows' vocabulary codes, and the bitmap index is
+derived from them; spark-mode batches run one Spark ``GROUP BY z, x``
+over the selected blocks.
 """
 from repro.storage.blocks import (  # noqa: F401
     BLOCK_COL,

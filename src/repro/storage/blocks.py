@@ -10,9 +10,10 @@ directly at generation.
 :func:`encode` is the one place Z/X values become vocabulary indices.
 Replay mode reads the generated rows' codes: block ``b`` is rows
 ``[b·tpb, (b+1)·tpb)`` of the code arrays, held as a CSR-style
-driver-side index (:class:`BlockCountsIndex`) with no aggregation.
-Spark batches and the exact Scan run :func:`block_counts`, a
-``GROUP BY z, x`` over the selected blocks of the cached relation.
+driver-side index (:class:`BlockCountsIndex`) with no aggregation; the
+exact Scan counts the same arrays.  Spark-mode batches run
+:func:`block_counts`, a ``GROUP BY z, x`` over the selected blocks of
+the cached relation.
 """
 from __future__ import annotations
 
@@ -56,16 +57,13 @@ def encode(values, vocabulary: list, column: str) -> np.ndarray:
     return codes.astype(np.int32)
 
 
-def block_counts(df: DataFrame, z: str, x: str, block_ids=None) -> DataFrame:
+def block_counts(df: DataFrame, z: str, x: str, block_ids) -> DataFrame:
     """Sampled-block aggregation: counts per (candidate, bin).
 
     This is the distributed sample+aggregate round: filter to the blocks
-    the sampling engine selected (all blocks when ``block_ids`` is None),
-    then ``GROUP BY z, x``.
+    the sampling engine selected, then ``GROUP BY z, x``.
     """
-    if block_ids is not None:
-        ids = [int(b) for b in block_ids]
-        df = df.filter(F.col(BLOCK_COL).isin(ids))
+    df = df.filter(F.col(BLOCK_COL).isin([int(b) for b in block_ids]))
     return df.groupBy(z, x).agg(F.count(F.lit(1)).alias("cnt"))
 
 

@@ -34,11 +34,14 @@ def test_add_block_ids_bad_tpb():
 
 
 def test_block_counts_oracle(datasets):
-    """The full-data histogram query of Definition 1 (what Scan runs)."""
+    """A spark-mode lookahead batch: 512 blocks that wrap past the last
+    block, as the round loop issues them."""
     ds = datasets["flights"]
+    ids = np.arange(ds.n_blocks - 200, ds.n_blocks + 312) % ds.n_blocks
     assert_equivalent(
-        block_counts(ds.sdf, "origin", "day_of_week"),
-        "SELECT origin, day_of_week, COUNT(*) AS cnt FROM flights GROUP BY ALL",
+        block_counts(ds.sdf, "origin", "day_of_week", ids),
+        "SELECT origin, day_of_week, COUNT(*) AS cnt FROM flights "
+        f"WHERE {BLOCK_COL} >= {ds.n_blocks - 200} OR {BLOCK_COL} < 312 GROUP BY ALL",
         flights=ds.sdf.toPandas(),
     )
 

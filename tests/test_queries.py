@@ -1,6 +1,7 @@
 """Query specs (Table 3), load_dataset's codes and the prepare() pipeline."""
 import dataclasses
 
+import duckdb
 import numpy as np
 import pytest
 
@@ -113,22 +114,23 @@ def test_prepare_wrong_dataset_raises(datasets):
         prepare(datasets["flights"], QUERIES["taxi-q1"])
 
 
-def test_exact_counts_oracle(prepared):
-    """The numpy ground truth equals a DuckDB aggregation of the data."""
-    pq = prepared["police-q1"]
-    pdf = pq.ds.sdf.toPandas()
-    import duckdb
-
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_exact_counts_oracle(qid, prepared):
+    """The numpy ground truth (what Scan and every guarantee check are
+    held to) equals a DuckDB aggregation of the Spark relation, cell for
+    cell, zeros included."""
+    pq = prepared[qid]
+    z, x = pq.spec.z, pq.spec.x
     con = duckdb.connect()
-    con.register("police", pdf)
-    rows = con.execute(
-        "SELECT road_id, contraband_found, COUNT(*) AS c FROM police GROUP BY 1, 2"
-    ).fetchall()
+    con.register("data", pq.ds.sdf.select(z, x).toPandas())
+    rows = con.execute(f"SELECT {z}, {x}, COUNT(*) AS c FROM data GROUP BY 1, 2").fetchall()
     con.close()
-    for road, contra, c in rows:
-        zi = pq.z_values.index(road)
-        xi = pq.x_values.index(contra)
-        assert pq.exact_counts[zi, xi] == c
+    zpos = {v: i for i, v in enumerate(pq.z_values)}
+    xpos = {v: i for i, v in enumerate(pq.x_values)}
+    want = np.zeros_like(pq.exact_counts)
+    for zv, xv, c in rows:
+        want[zpos[zv], xpos[xv]] = c
+    np.testing.assert_array_equal(pq.exact_counts, want)
 
 
 def test_true_topk_lands_in_engineered_clusters(prepared):

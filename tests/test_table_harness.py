@@ -45,9 +45,12 @@ def test_run_query_experiment_structure(prepared):
     exp = run_query_experiment(prepared["police-q1"], n_runs=2, seed=3)
     assert set(exp.variants) == set(VARIANT_ORDER)
     for v in exp.variants.values():
-        assert v.speedup > 0
+        assert v.seconds == pytest.approx(sum(r.wall for r in v.runs) / 2)
+        assert v.speedup == pytest.approx(exp.scan_seconds / v.seconds)
         assert 0 < v.read_fraction <= 1.0
         assert len(v.runs) == 2
+        assert sum(v.stop_reasons.values()) == 2
+        assert set(v.stop_reasons) <= {"sum_delta", "max_delta", "exhausted"}
         assert v.guarantee_violations == 0
     assert exp.scan_seconds > 0
     txt = format_table([exp])
