@@ -53,7 +53,7 @@ def main() -> None:
             f"tuples_read={r.tuples_read} ({r.tuples_read / ds.n_rows:.1%}) "
             f"blocks={r.blocks_read}/{r.blocks_considered} "
             f"stat_iters={r.n_stat_iters} stats={r.time_stats:.3f}s "
-            f"decide={r.time_decide:.3f}s wall={r.wall:.3f}s "
+            f"decide={r.time_decide:.3f}s fetch={r.time_fetch:.3f}s wall={r.wall:.3f}s "
             f"delta_upper={r.delta_upper:.2e} stop={r.stop_reason}"
         )
         print(

@@ -132,13 +132,14 @@ class PreparedQuery:
     target: np.ndarray          # length |V_X|, aligned with x_values
     target_desc: str
     counts_index: BlockCountsIndex = field(repr=False, default=None)
-    bitmap_t: np.ndarray = field(repr=False, default=None)  # n_blocks × |V_Z|
+    bitmap_t: np.ndarray = field(repr=False, default=None)  # packed uint8, n_blocks × ⌈|V_Z|/8⌉
     exact_counts: np.ndarray = field(repr=False, default=None)
     tau_star: np.ndarray = field(repr=False, default=None)
 
     @property
     def bitmap(self) -> np.ndarray:
-        """The bitmap as |V_Z| × n_blocks: a transposed view, not a copy."""
+        """The packed bitmap as ⌈|V_Z|/8⌉ × n_blocks bytes: a transposed
+        view of ``bitmap_t``, not a copy."""
         return self.bitmap_t.T
 
     @property

@@ -38,7 +38,7 @@ def test_prepare_ground_truth_consistency(qid, prepared):
     pq = prepared[qid]
     assert pq.exact_counts.sum() == pq.ds.n_rows
     assert pq.exact_counts.shape == (pq.n_candidates, pq.d)
-    assert pq.bitmap.shape == (pq.n_candidates, pq.ds.n_blocks)
+    assert pq.bitmap.shape == (-(-pq.n_candidates // 8), pq.ds.n_blocks)
     np.testing.assert_allclose(
         pq.tau_star, l1_distances(pq.exact_counts, pq.target)
     )
