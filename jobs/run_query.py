@@ -11,7 +11,10 @@ invoke it across a parameter grid and collect the printed metrics.
 """
 import argparse
 
+from repro.engine.runner import run_scan, run_variant
 from repro.session import get_spark
+from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
+from repro.workloads.queries import QUERIES, load_dataset, prepare
 
 
 def main() -> None:
@@ -27,11 +30,7 @@ def main() -> None:
     ap.add_argument("--mode", choices=["replay", "spark"], default="replay")
     args = ap.parse_args()
 
-    spark = get_spark("run_query")
-    from repro.engine.runner import run_scan, run_variant
-    from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
-    from repro.workloads.queries import QUERIES, load_dataset, prepare
-
+    spark = get_spark("run_query") if args.mode == "spark" else None
     spec = QUERIES[args.qid]
     ds = load_dataset(spark, spec.dataset, sf=args.sf)
     pq = prepare(ds, spec)
@@ -61,7 +60,8 @@ def main() -> None:
             f"delta_d={delta_d(r.topk_idx, pq.tau_star, spec.k):.4f}"
         )
         print("top-k:", [pq.z_values[i] for i in r.topk_idx])
-    spark.stop()
+    if spark is not None:
+        spark.stop()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ EXPERIMENTS.md records one canonical run.
 """
 import argparse
 
-from repro.session import get_spark
+from repro.tables.table4 import PAPER_TABLE4, VARIANT_ORDER, format_table, rows
 
 
 def main() -> None:
@@ -23,11 +23,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--queries", nargs="*", default=None)
     args = ap.parse_args()
-    spark = get_spark("table4")
-    from repro.tables.table4 import PAPER_TABLE4, VARIANT_ORDER, format_table, rows
-
     exps = rows(
-        spark,
         sf=args.sf,
         n_runs=args.runs,
         delta=args.delta,
@@ -56,11 +52,11 @@ def main() -> None:
             print(
                 f"{e.qid:<11} {v:<10} read={s.read_fraction:7.1%} "
                 f"stats={s.time_stats:7.3f}s decide={s.time_decide:7.3f}s "
+                f"fetch={s.time_fetch:7.3f}s "
                 f"iters={s.n_stat_iters:9.1f} viol={s.guarantee_violations} "
                 f"delta_d={s.delta_d_mean:.4f} "
                 f"stop={','.join(f'{k}:{n}' for k, n in sorted(s.stop_reasons.items()))}"
             )
-    spark.stop()
 
 
 if __name__ == "__main__":

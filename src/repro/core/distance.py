@@ -15,10 +15,10 @@ import numpy as np
 def normalize_rows(counts: np.ndarray) -> np.ndarray:
     """Row-normalize a counts matrix to distributions (r̂ in the paper).
 
-    Rows with zero total are returned as all-zero (their distance to any
-    distribution is then the vacuous maximum 1 + 0 = 1 per bin sums...);
-    HistSim never trusts such rows — it pins τ to the max distance 2 for
-    unsampled candidates (see :mod:`repro.core.histsim`).
+    Rows with zero total are returned as all-zero.  Their ℓ₁ distance to
+    any distribution would then be 1, which means nothing, so
+    :func:`l1_distances` gives them the maximum distance 2 instead, as
+    HistSim does for unsampled candidates (see :mod:`repro.core.histsim`).
     """
     counts = np.asarray(counts, dtype=np.float64)
     totals = counts.sum(axis=-1, keepdims=True)

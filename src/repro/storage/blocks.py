@@ -1,19 +1,15 @@
 """Blocked data layout, the replay-mode counts index and block aggregation.
 
 FastMatch's I/O manager reads fixed-size blocks of a randomly permuted
-row-store.  We reproduce the layout with a ``_block_id`` column:
-``block_id = row_position // tuples_per_block`` over a random
-permutation of the rows.  The workload generators emit i.i.d. rows, so
-their native order is already exchangeable and block ids are assigned
-directly at generation.
+row-store.  Block ``b`` is rows ``[b·tpb, (b+1)·tpb)`` of the generated
+order, already a random permutation as the generators draw i.i.d. rows.
 
-:func:`encode` is the one place Z/X values become vocabulary indices.
-Replay mode reads the generated rows' codes: block ``b`` is rows
-``[b·tpb, (b+1)·tpb)`` of the code arrays, held as a CSR-style
-driver-side index (:class:`BlockCountsIndex`) with no aggregation; the
-exact Scan counts the same arrays.  Spark-mode batches run
-:func:`block_counts`, a ``GROUP BY z, x`` over the selected blocks of
-the cached relation.
+Replay mode reads the generators' vocabulary codes: a CSR-style
+driver-side index (:class:`BlockCountsIndex`) with no aggregation, and
+:func:`exact_counts` over all of them (ground truth and the exact Scan).
+Spark-mode batches run :func:`block_counts`, a ``GROUP BY z, x`` over the
+selected blocks of the Spark relation, and :func:`encode` guards the
+values they return.
 """
 from __future__ import annotations
 
@@ -24,20 +20,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 BLOCK_COL = "_block_id"
-
-
-def add_block_ids(pdf: pd.DataFrame, tuples_per_block: int) -> pd.DataFrame:
-    """Assign ``_block_id`` by row position (pandas path, for generators).
-
-    The caller guarantees the row order is exchangeable (i.i.d. draws),
-    so a sequential scan of blocks from any start is a uniform
-    without-replacement sample — §4.2 Challenge 1.
-    """
-    if tuples_per_block < 1:
-        raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
-    out = pdf.copy()
-    out[BLOCK_COL] = np.arange(len(pdf), dtype=np.int64) // tuples_per_block
-    return out
 
 
 def encode(values, vocabulary: list, column: str) -> np.ndarray:
@@ -94,12 +76,12 @@ class BlockCountsIndex:
         rows = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
         return self.z_idx[rows], self.x_idx[rows], self.cnt[rows]
 
-    def exact_counts(self) -> np.ndarray:
-        """The full |V_Z| × |V_X| counts matrix (= a complete Scan)."""
-        d = len(self.x_values)
-        out = np.zeros((len(self.z_values), d), dtype=np.int64)
-        np.add.at(out.reshape(-1), self.z_idx.astype(np.intp) * d + self.x_idx, self.cnt)
-        return out
+
+def exact_counts(z_codes: np.ndarray, x_codes: np.ndarray, n_z: int, n_x: int) -> np.ndarray:
+    """The full ``n_z × n_x`` counts matrix of (z, x) code pairs: one
+    ``bincount`` over ``z·n_x + x`` (= a complete Scan)."""
+    flat = z_codes.astype(np.intp) * n_x + x_codes
+    return np.bincount(flat, minlength=n_z * n_x).reshape(n_z, n_x)
 
 
 def build_counts_index(

@@ -1,9 +1,8 @@
 """Table 2 analog — dataset descriptions, ours next to the paper's."""
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
-from repro.workloads.queries import load_dataset
+from repro.storage.blocks import BLOCK_COL
+from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, generate
 
 PAPER_TABLE2 = {
     "flights": {"size": "32 GiB", "tuples": 604_000_000, "attrs": 7, "replications": 5},
@@ -12,27 +11,25 @@ PAPER_TABLE2 = {
 }
 
 
-def rows(spark: SparkSession, *, sf: float) -> list[dict]:
+def rows(*, sf: float) -> list[dict]:
     """One row per dataset: paper figures + our synthetic analog's."""
     out = []
     for name, paper in PAPER_TABLE2.items():
-        ds = load_dataset(spark, name, sf=sf)
-        n_attrs = len([c for c in ds.sdf.columns if c != "_block_id"])
+        pdf, meta = generate(name, sf=sf)
         out.append(
             {
                 "dataset": name.upper(),
                 "paper_tuples": paper["tuples"],
                 "paper_attrs": paper["attrs"],
-                "ours_tuples": ds.n_rows,
-                "ours_attrs": n_attrs,
-                "ours_blocks": ds.n_blocks,
-                "tuples_per_block": ds.tuples_per_block,
+                "ours_tuples": len(pdf),
+                "ours_attrs": len(pdf.columns.drop(BLOCK_COL)),
+                "ours_blocks": int(pdf[BLOCK_COL].iloc[-1]) + 1,
+                "tuples_per_block": DEFAULT_TUPLES_PER_BLOCK,
                 "cardinalities": {
-                    c: len(v) for c, v in ds.meta.value_sets.items()
+                    c: len(v) for c, v in meta.value_sets.items()
                 },
             }
         )
-        ds.sdf.unpersist()
     return out
 
 

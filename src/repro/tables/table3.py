@@ -1,8 +1,6 @@
 """Table 3 analog — query summaries with resolved targets."""
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from repro.workloads.queries import QUERIES, load_dataset, prepare
 
 PAPER_TABLE3 = {
@@ -18,13 +16,13 @@ PAPER_TABLE3 = {
 }
 
 
-def rows(spark: SparkSession, *, sf: float) -> list[dict]:
+def rows(*, sf: float) -> list[dict]:
     """One row per query: spec + resolved target description."""
     out = []
     by_ds: dict[str, object] = {}
     for qid, spec in QUERIES.items():
         if spec.dataset not in by_ds:
-            by_ds[spec.dataset] = load_dataset(spark, spec.dataset, sf=sf)
+            by_ds[spec.dataset] = load_dataset(None, spec.dataset, sf=sf)
         pq = prepare(by_ds[spec.dataset], spec)
         paper = PAPER_TABLE3[qid]
         out.append(
@@ -43,8 +41,6 @@ def rows(spark: SparkSession, *, sf: float) -> list[dict]:
                 "target_ours": pq.target_desc,
             }
         )
-    for ds in by_ds.values():
-        ds.sdf.unpersist()
     return out
 
 

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.engine.runner import APPROX_VARIANTS, RunResult, run_scan, run_variant
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
@@ -46,6 +45,7 @@ class VariantSummary:
     read_fraction: float        # tuples read / total tuples, averaged
     time_stats: float
     time_decide: float
+    time_fetch: float
     n_stat_iters: float
     guarantee_violations: int
     delta_d_mean: float
@@ -100,6 +100,7 @@ def run_query_experiment(
             read_fraction=float(np.mean([r.tuples_read for r in runs])) / pq.ds.n_rows,
             time_stats=float(np.mean([r.time_stats for r in runs])),
             time_decide=float(np.mean([r.time_decide for r in runs])),
+            time_fetch=float(np.mean([r.time_fetch for r in runs])),
             n_stat_iters=float(np.mean([r.n_stat_iters for r in runs])),
             guarantee_violations=violations,
             delta_d_mean=float(np.mean(dds)),
@@ -113,7 +114,6 @@ def run_query_experiment(
 
 
 def rows(
-    spark: SparkSession,
     *,
     sf: float,
     n_runs: int = 5,
@@ -123,23 +123,17 @@ def rows(
     queries=None,
 ) -> list[QueryExperiment]:
     """Run the full Table 4 grid (all queries × all variants)."""
-    out = []
-    current = None  # (name, LoadedDataset) — datasets are grouped in QUERIES
+    out, ds = [], None  # datasets are grouped in QUERIES: load each once
     for qid, spec in QUERIES.items():
         if queries is not None and qid not in queries:
             continue
-        if current is None or current[0] != spec.dataset:
-            if current is not None:
-                current[1].sdf.unpersist()
-            current = (spec.dataset, load_dataset(spark, spec.dataset, sf=sf))
-        pq = prepare(current[1], spec)
+        if ds is None or ds.name != spec.dataset:
+            ds = load_dataset(None, spec.dataset, sf=sf)
         out.append(
             run_query_experiment(
-                pq, n_runs=n_runs, delta=delta, lookahead=lookahead, seed=seed
+                prepare(ds, spec), n_runs=n_runs, delta=delta, lookahead=lookahead, seed=seed
             )
         )
-    if current is not None:
-        current[1].sdf.unpersist()
     return out
 
 

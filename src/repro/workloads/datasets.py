@@ -15,7 +15,11 @@ behaviour depends on (see DESIGN.md §2):
   variant wins;
 * rows drawn i.i.d., so the generation order is exchangeable and the
   sequential block layout of §4.2 Challenge 1 is a valid random
-  permutation (``_block_id`` is assigned directly at generation).
+  permutation (block ``b`` is rows ``[b·tpb, (b+1)·tpb)``).
+
+The drawn int32 arrays (string and query columns as codes) are the
+dataset: replay keeps the codes :func:`draw` returns, and
+:func:`generate` decodes them into the frame Spark and DuckDB read.
 
 SF semantics: SF = 1.0 → 6M rows (tests use SF = 0.01, ``jobs/``
 SF = 0.4).  Everything is deterministic in ``seed``.
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.storage.blocks import add_block_ids
+from repro.storage.blocks import BLOCK_COL
 
 N_ROWS_PER_SF = 6_000_000
 DEFAULT_TUPLES_PER_BLOCK = 32
@@ -41,7 +45,8 @@ DEFAULT_TUPLES_PER_BLOCK = 32
 class DatasetMeta:
     """Everything tests and the query layer need to know about a dataset.
 
-    ``value_sets`` maps column → its full sorted value list.
+    ``value_sets`` maps each query attribute → its full sorted value
+    list, ``labels`` each other string column → its labels (drawn as codes).
     ``marginals`` maps a candidate column → its designed marginal probs
     (aligned to the sorted value list).  ``profiles`` maps
     (z_col, x_col) → the designed |V_Z| × |V_X| conditional
@@ -52,6 +57,7 @@ class DatasetMeta:
     name: str
     n_rows: int
     value_sets: dict = field(default_factory=dict)
+    labels: dict = field(default_factory=dict)
     marginals: dict = field(default_factory=dict)
     profiles: dict = field(default_factory=dict)
     clusters: dict = field(default_factory=dict)
@@ -160,8 +166,7 @@ FLIGHTS_MONDAY = [122, 127, 133, 139, 145, 151, 157, 160]
 FLIGHTS_MONDAY_NEAR = FLIGHTS_MONDAY[:5]
 
 
-def flights(*, sf: float = 0.01, seed: int = 10,
-            tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK):
+def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
     """FLIGHTS analog: 161 origins × (hour, day-of-week, day-of-month, dest).
 
     Engineered geometry:
@@ -234,7 +239,7 @@ def flights(*, sf: float = 0.01, seed: int = 10,
         monday_base, weekend_base[None, :], np.zeros(len(FLIGHTS_MONDAY), dtype=int), mon_ts
     )
     dow_profiles = dirichlet_profiles(dow_centers, 1800.0, rng)
-    dow = sample_conditional(z, dow_profiles, rng) + 1  # 1..7
+    dow = sample_conditional(z, dow_profiles, rng)
 
     # -- dest profiles (q4: closest-to-uniform) -----------------------------
     uni_d = np.full(N_DESTS, 1.0 / N_DESTS)
@@ -250,17 +255,15 @@ def flights(*, sf: float = 0.01, seed: int = 10,
     dest_profiles = dirichlet_profiles(dest_centers, 50000.0, rng)
     dest = sample_conditional(z, dest_profiles, rng)
 
-    pdf = pd.DataFrame(
-        {
-            "origin": pd.Categorical.from_codes(z, origins).astype(str),
-            "dest": pd.Categorical.from_codes(dest, dests).astype(str),
-            "day_of_week": dow.astype(np.int32),
-            "day_of_month": rng.integers(1, 32, n).astype(np.int32),
-            "departure_hour": hour.astype(np.int32),
-            "dep_delay": np.maximum(-10, rng.gamma(2.0, 12.0, n) - 15).astype(np.int32),
-            "arr_delay": np.maximum(-30, rng.gamma(2.0, 15.0, n) - 18).astype(np.int32),
-        }
-    )
+    columns = {
+        "origin": z,
+        "dest": dest,
+        "day_of_week": dow,
+        "day_of_month": rng.integers(1, 32, n),
+        "departure_hour": hour,
+        "dep_delay": np.maximum(-10, rng.gamma(2.0, 12.0, n) - 15),
+        "arr_delay": np.maximum(-30, rng.gamma(2.0, 15.0, n) - 18),
+    }
     meta = DatasetMeta(
         name="flights",
         n_rows=n,
@@ -283,7 +286,7 @@ def flights(*, sf: float = 0.01, seed: int = 10,
             "uniform_dest": FLIGHTS_HUBS[:10],
         },
     )
-    return add_block_ids(pdf, tuples_per_block), meta
+    return columns, meta
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +298,7 @@ TAXI_Q1_CLUSTER = [3, 9, 15, 21, 27, 33, 39, 45, 51, 57, 63, 69]   # near-unifor
 TAXI_Q2_CLUSTER = [4, 10, 16, 22, 28, 34, 40, 46, 52, 58, 64, 70]  # near-uniform month
 
 
-def taxi(*, sf: float = 0.01, seed: int = 20,
-         tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK):
+def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
     """TAXI analog: 3072 pickup locations (paper: 7548, see DESIGN.md §2).
 
     Both queries target "closest candidate to uniform": twelve
@@ -343,19 +345,17 @@ def taxi(*, sf: float = 0.01, seed: int = 20,
     ts2[TAXI_Q2_CLUSTER] = q2_ts
     month_centers = graded_centers(uni12, poles12, pole_of2, ts2)
     month_profiles = dirichlet_profiles(month_centers, 3000.0, rng)
-    month = sample_conditional(z, month_profiles, rng) + 1  # 1..12
+    month = sample_conditional(z, month_profiles, rng)
 
-    pdf = pd.DataFrame(
-        {
-            "location": pd.Categorical.from_codes(z, locations).astype(str),
-            "hour_of_day": hour.astype(np.int32),
-            "month_of_year": month.astype(np.int32),
-            "day_of_week": rng.integers(1, 8, n).astype(np.int32),
-            "passenger_count": rng.integers(1, 7, n).astype(np.int32),
-            "trip_minutes": np.maximum(1, rng.gamma(2.2, 6.0, n)).astype(np.int32),
-            "fare_bucket": rng.integers(0, 10, n).astype(np.int32),
-        }
-    )
+    columns = {
+        "location": z,
+        "hour_of_day": hour,
+        "month_of_year": month,
+        "day_of_week": rng.integers(1, 8, n),
+        "passenger_count": rng.integers(1, 7, n),
+        "trip_minutes": np.maximum(1, rng.gamma(2.2, 6.0, n)),
+        "fare_bucket": rng.integers(0, 10, n),
+    }
     meta = DatasetMeta(
         name="taxi",
         n_rows=n,
@@ -371,7 +371,7 @@ def taxi(*, sf: float = 0.01, seed: int = 20,
         },
         clusters={"uniform_hour": TAXI_Q1_CLUSTER, "uniform_month": TAXI_Q2_CLUSTER},
     )
-    return add_block_ids(pdf, tuples_per_block), meta
+    return columns, meta
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,7 @@ POLICE_Q3_CLUSTER = [30, 60, 90, 120, 150, 180, 210, 240]            # gender ~ 
 RACES = sorted(["ASIAN", "BLACK", "HISPANIC", "OTHER", "WHITE"])
 
 
-def police(*, sf: float = 0.01, seed: int = 30,
-           tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK):
+def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
     """POLICE analog: 191 roads / 512 violations (paper: 2110), 10 attrs.
 
     q1/q2 target closest-to-uniform over contraband (d=2) and officer
@@ -439,27 +438,18 @@ def police(*, sf: float = 0.01, seed: int = 30,
     gender_profiles = np.stack([p_female, 1 - p_female], axis=1)  # [F, M]
     gender = sample_conditional(vio, gender_profiles, rng)
 
-    pdf = pd.DataFrame(
-        {
-            "county": rng.integers(0, 39, n).astype(np.int32),
-            "road_id": pd.Categorical.from_codes(road, roads).astype(str),
-            "violation": pd.Categorical.from_codes(vio, violations).astype(str),
-            "officer_gender": pd.Categorical.from_codes(
-                rng.integers(0, 2, n), ["F", "M"]
-            ).astype(str),
-            "officer_race": pd.Categorical.from_codes(race, RACES).astype(str),
-            "driver_gender": pd.Categorical.from_codes(gender, ["F", "M"]).astype(str),
-            "driver_age_bucket": rng.integers(0, 6, n).astype(np.int32),
-            "search_conducted": pd.Categorical.from_codes(
-                rng.integers(0, 2, n), ["N", "Y"]
-            ).astype(str),
-            "contraband_found": pd.Categorical.from_codes(contra, ["N", "Y"]).astype(str),
-            "stop_outcome": pd.Categorical.from_codes(
-                rng.integers(0, 5, n),
-                ["ARREST", "CITATION", "NONE", "VERBAL", "WRITTEN"],
-            ).astype(str),
-        }
-    )
+    columns = {
+        "county": rng.integers(0, 39, n),
+        "road_id": road,
+        "violation": vio,
+        "officer_gender": rng.integers(0, 2, n),
+        "officer_race": race,
+        "driver_gender": gender,
+        "driver_age_bucket": rng.integers(0, 6, n),
+        "search_conducted": rng.integers(0, 2, n),
+        "contraband_found": contra,
+        "stop_outcome": rng.integers(0, 5, n),
+    }
     meta = DatasetMeta(
         name="police",
         n_rows=n,
@@ -469,6 +459,11 @@ def police(*, sf: float = 0.01, seed: int = 30,
             "contraband_found": ["N", "Y"],
             "officer_race": RACES,
             "driver_gender": ["F", "M"],
+        },
+        labels={
+            "officer_gender": ["F", "M"],
+            "search_conducted": ["N", "Y"],
+            "stop_outcome": ["ARREST", "CITATION", "NONE", "VERBAL", "WRITTEN"],
         },
         marginals={"road_id": road_marginal, "violation": vio_marginal},
         profiles={
@@ -482,14 +477,41 @@ def police(*, sf: float = 0.01, seed: int = 30,
             "gender_half": POLICE_Q3_CLUSTER,
         },
     )
-    return add_block_ids(pdf, tuples_per_block), meta
+    return columns, meta
 
 
 DATASETS = {"flights": flights, "taxi": taxi, "police": police}
 
 
-def generate(name: str, **kwargs):
-    """Generate a dataset by name → (pandas DataFrame with _block_id, meta)."""
+def draw(name: str, *, sf: float = 0.01, seed: int | None = None) -> tuple[dict, DatasetMeta]:
+    """Draw a dataset by name → (column → int32 array in row order, meta);
+    ``seed=None`` takes the dataset's own default seed."""
     if name not in DATASETS:
         raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
-    return DATASETS[name](**kwargs)
+    kwargs = {"sf": sf} if seed is None else {"sf": sf, "seed": seed}
+    columns, meta = DATASETS[name](**kwargs)
+    return {c: a.astype(np.int32) for c, a in columns.items()}, meta
+
+
+def _decode(codes: np.ndarray, labels: list) -> np.ndarray:
+    """Codes → their labels: strings as objects, integers as int32."""
+    values = np.asarray(labels)
+    return values.astype(object if values.dtype.kind == "U" else np.int32)[codes]
+
+
+def generate(
+    name: str,
+    *,
+    sf: float = 0.01,
+    tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK,
+    seed: int | None = None,
+) -> tuple[pd.DataFrame, DatasetMeta]:
+    """:func:`draw` decoded into a pandas DataFrame, plus ``_block_id``:
+    block ``b`` is rows ``[b·tpb, (b+1)·tpb)`` (see the module docstring)."""
+    if tuples_per_block < 1:
+        raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
+    columns, meta = draw(name, sf=sf, seed=seed)
+    labels = {**meta.value_sets, **meta.labels}
+    frame = {c: _decode(a, labels[c]) if c in labels else a for c, a in columns.items()}
+    frame[BLOCK_COL] = np.arange(meta.n_rows, dtype=np.int64) // tuples_per_block
+    return pd.DataFrame(frame), meta

@@ -16,14 +16,15 @@ variant to read nearly everything and flatten the comparison.  We pick
 tuple count as in the paper (see EXPERIMENTS.md for the arithmetic);
 ``paper_eps`` records the paper's setting.
 
-:func:`load_dataset` caches the blocked Spark DataFrame and encodes each
-vocabulary column once into row-order codes; :func:`prepare` builds the
-rest from those codes alone, with no Spark job: the replay-mode counts
-index, the bitmap index, and exact ground truth (counts and true τ*).
+:func:`load_dataset` keeps the vocabulary codes the generator drew, in
+row (= block) order, and builds no Spark relation until one is read;
+:func:`prepare` builds the rest from the codes alone: the replay-mode
+counts index, the bitmap index, and exact ground truth (counts, τ*).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -31,8 +32,8 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.distance import l1_distances
 from repro.storage.bitmap import bitmap_from_index
-from repro.storage.blocks import BlockCountsIndex, build_counts_index, encode
-from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, generate
+from repro.storage.blocks import BlockCountsIndex, build_counts_index, encode, exact_counts
+from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, draw, generate
 
 
 @dataclass(frozen=True)
@@ -82,42 +83,49 @@ QUERIES: dict[str, QuerySpec] = {
 
 @dataclass
 class LoadedDataset:
-    """A generated dataset, cached in Spark with its blocked layout."""
+    """A generated dataset's codes in block order, and its Spark relation."""
 
     name: str
-    sdf: DataFrame
     meta: DatasetMeta
     n_rows: int
     tuples_per_block: int
     n_blocks: int
     codes: dict = field(repr=False)  # column → int32 codes, row (= block) order
+    sf: float
+    seed: int | None                 # None: the generator's default seed
+    spark: SparkSession | None = field(repr=False)
+
+    @cached_property
+    def sdf(self) -> DataFrame:
+        """:func:`generate`'s frame as a cached Spark relation, built when
+        first read (spark mode and the oracle tests)."""
+        if self.spark is None:
+            raise RuntimeError(f"dataset {self.name!r} was loaded without a SparkSession")
+        pdf, _ = generate(self.name, sf=self.sf, tuples_per_block=self.tuples_per_block, seed=self.seed)
+        sdf = self.spark.createDataFrame(pdf).cache()
+        sdf.count()  # fill the cache here, not in the first job that reads it
+        return sdf
 
 
 def load_dataset(
-    spark: SparkSession,
+    spark: SparkSession | None,
     name: str,
     *,
     sf: float,
     tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK,
     seed: int | None = None,
 ) -> LoadedDataset:
-    """Generate + register one dataset (cached; one Spark materialization)
-    and encode each vocabulary column once; NULL / unseen values raise."""
-    kwargs = {"sf": sf, "tuples_per_block": tuples_per_block}
-    if seed is not None:
-        kwargs["seed"] = seed
-    pdf, meta = generate(name, **kwargs)
-    sdf = spark.createDataFrame(pdf).cache()
-    n_rows = sdf.count()  # materialize the cache
-    n_blocks = int(pdf["_block_id"].max()) + 1
+    """Draw one dataset and keep its vocabulary codes.  ``spark`` is used
+    only if the Spark relation is read; pass ``None`` for replay mode."""
+    if tuples_per_block < 1:
+        raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
+    columns, meta = draw(name, sf=sf, seed=seed)
+    n_rows = len(next(iter(columns.values())))
     return LoadedDataset(
-        name=name,
-        sdf=sdf,
-        meta=meta,
-        n_rows=n_rows,
-        tuples_per_block=tuples_per_block,
-        n_blocks=n_blocks,
-        codes={c: encode(pdf[c], vocab, c) for c, vocab in meta.value_sets.items()},
+        name=name, meta=meta, n_rows=n_rows, tuples_per_block=tuples_per_block,
+        n_blocks=-(-n_rows // tuples_per_block),
+        codes={c: columns[c] for c in meta.value_sets},
+        sf=sf, seed=seed, spark=spark,
     )
 
 
@@ -180,8 +188,8 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
     """Build indexes, ground truth, and the target for one query.
 
     Everything comes from the dataset's codes, with no Spark job: the
-    counts index, then the bitmap and exact ground truth derived from it
-    (tests verify both against independent Spark/DuckDB paths).
+    counts index, the bitmap derived from it, and exact ground truth
+    (tests verify each against independent Spark/DuckDB paths).
     """
     if spec.dataset != ds.name:
         raise ValueError(f"query {spec.qid} does not belong to dataset {ds.name}")
@@ -195,7 +203,7 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         n_blocks=ds.n_blocks,
         tuples_per_block=ds.tuples_per_block,
     )
-    exact = idx.exact_counts()
+    exact = exact_counts(ds.codes[spec.z], ds.codes[spec.x], len(z_values), len(x_values))
     target, desc = compute_target(spec, z_values, x_values, exact)
     return PreparedQuery(
         spec=spec,

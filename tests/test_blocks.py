@@ -7,27 +7,21 @@ import pytest
 from repro.oracle import assert_equivalent
 from repro.storage.blocks import (
     BLOCK_COL,
-    add_block_ids,
     block_counts,
     build_counts_index,
     encode,
+    exact_counts,
 )
+from repro.workloads import datasets as wd
 from repro.workloads.queries import QUERIES
 
 
-# -- pandas block assignment -------------------------------------------------
-
-
 def test_add_block_ids_positions():
-    pdf = pd.DataFrame({"a": range(10)})
-    out = add_block_ids(pdf, 3)
-    assert list(out[BLOCK_COL]) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
-    assert BLOCK_COL not in pdf.columns  # input untouched
-
-
-def test_add_block_ids_bad_tpb():
-    with pytest.raises(ValueError):
-        add_block_ids(pd.DataFrame({"a": [1]}), 0)
+    """``generate`` adds ``_block_id`` by row position: row ``i`` is in
+    block ``i // tuples_per_block``."""
+    pdf, meta = wd.generate("flights", sf=0.001, tuples_per_block=3)
+    assert list(pdf[BLOCK_COL][:10]) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
+    assert pdf[BLOCK_COL].iloc[-1] == (meta.n_rows - 1) // 3
 
 
 # -- block_counts vs DuckDB --------------------------------------------------
@@ -80,7 +74,7 @@ def test_index_exact_counts_match_spark(fl_index):
     pdf = (
         ds.sdf.groupBy("origin", "day_of_week").count().toPandas()
     )
-    exact = idx.exact_counts()
+    exact = exact_counts(idx.z_idx, idx.x_idx, len(idx.z_values), len(idx.x_values))
     origins = {v: i for i, v in enumerate(idx.z_values)}
     for _, row in pdf.iterrows():
         zi = origins[row["origin"]]

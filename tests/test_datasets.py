@@ -22,11 +22,21 @@ def test_row_count(gen):
 
 
 def test_block_ids_assigned(gen):
-    _, pdf, _ = gen
-    assert pdf["_block_id"].iloc[0] == 0
-    assert (np.diff(pdf["_block_id"]) >= 0).all()
-    counts = pdf["_block_id"].value_counts()
-    assert counts.max() <= wd.DEFAULT_TUPLES_PER_BLOCK
+    """Block ``b`` is rows ``[b·tpb, (b+1)·tpb)``, at the default 32
+    (30,000 rows, so the last block is partial) and at 3; the block size
+    changes no other column."""
+    name, pdf, _ = gen
+    frames = {wd.DEFAULT_TUPLES_PER_BLOCK: pdf}
+    frames[3], _ = wd.generate(name, sf=0.005, seed=99, tuples_per_block=3)
+    for tpb, frame in frames.items():
+        assert frame["_block_id"].dtype == np.int64
+        np.testing.assert_array_equal(frame["_block_id"], np.arange(len(frame)) // tpb)
+    assert frames[3].drop(columns="_block_id").equals(pdf.drop(columns="_block_id"))
+
+
+def test_generate_bad_tuples_per_block():
+    with pytest.raises(ValueError, match="tuples_per_block"):
+        wd.generate("flights", sf=0.001, tuples_per_block=0)
 
 
 def test_deterministic(gen):

@@ -100,11 +100,12 @@ def test_codes_decode_to_generated_columns(name, datasets):
 
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_prepare_needs_no_spark(qid, prepared):
-    """prepare() reads only the dataset's codes: without the Spark
-    relation it builds the same ground truth, bitmap and target as the
-    DuckDB-checked ``prepared`` fixture."""
+    """prepare() reads only the dataset's codes: on a copy with no
+    SparkSession, and so no relation, it builds the same ground truth,
+    bitmap and target as the DuckDB-checked ``prepared`` fixture."""
     pq = prepared[qid]
-    bare = prepare(dataclasses.replace(pq.ds, sdf=None), pq.spec)
+    bare = prepare(dataclasses.replace(pq.ds, spark=None), pq.spec)
+    assert "sdf" not in vars(bare.ds)
     for field in ("exact_counts", "bitmap_t", "target", "tau_star"):
         np.testing.assert_array_equal(getattr(bare, field), getattr(pq, field))
 

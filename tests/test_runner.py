@@ -69,13 +69,11 @@ def test_counters_sane(variant, flights_pq):
 
 
 @pytest.fixture(scope="module")
-def police_q1_sf003(spark):
+def police_q1_sf003():
     """police-q1 at SF 0.03 (5625 blocks): large enough that every variant
     stops on its own criterion; at the suite's SF 0.01 most runs read
     every block."""
-    ds = load_dataset(spark, "police", sf=0.03)
-    yield prepare(ds, QUERIES["police-q1"])
-    ds.sdf.unpersist()
+    return prepare(load_dataset(None, "police", sf=0.03), QUERIES["police-q1"])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -162,8 +160,9 @@ def test_spark_paths_reject_null_and_unseen_values(column, value, prepared, spar
     sdf = pq.ds.sdf
     row = sdf.filter(F.col(BLOCK_COL) == 0).first().asDict()
     row[column] = value
-    bad = sdf.unionByName(spark.createDataFrame([row], schema=sdf.schema))
-    bad_pq = dataclasses.replace(pq, ds=dataclasses.replace(pq.ds, sdf=bad))
+    bad_ds = dataclasses.replace(pq.ds)
+    bad_ds.sdf = sdf.unionByName(spark.createDataFrame([row], schema=sdf.schema))
+    bad_pq = dataclasses.replace(pq, ds=bad_ds)
     with pytest.raises(ValueError, match=column):
         run_variant(bad_pq, "fastmatch", start_block=0, mode="spark")
 
@@ -189,10 +188,28 @@ def test_guarantees_hold(qid, variant, prepared):
 
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_scan_matches_ground_truth_per_query(qid, prepared):
-    """Scan reads only the codes: without the Spark relation it still
-    returns the DuckDB-checked true top-k and τ*."""
+    """Scan reads only the codes: on a copy with no SparkSession, and so
+    no relation, it still returns the DuckDB-checked true top-k and τ*."""
     pq = prepared[qid]
-    s = run_scan(dataclasses.replace(pq, ds=dataclasses.replace(pq.ds, sdf=None)))
+    bare = dataclasses.replace(pq, ds=dataclasses.replace(pq.ds, spark=None))
+    s = run_scan(bare)
+    assert "sdf" not in vars(bare.ds)
     np.testing.assert_array_equal(s.topk_idx, pq.true_topk())
     np.testing.assert_allclose(s.tau, pq.tau_star, rtol=0, atol=1e-9)
     assert s.wall > 0
+
+
+def test_replay_needs_no_spark():
+    """A dataset loaded with no SparkSession runs every query of its
+    dataset, in every variant and the Scan, without building a relation;
+    reading the relation then raises."""
+    ds = load_dataset(None, "police", sf=0.001)
+    for qid in ("police-q1", "police-q2", "police-q3"):
+        pq = prepare(ds, QUERIES[qid])
+        for variant in VARIANTS:
+            r = run_variant(pq, variant, seed=1, mode="replay")
+            assert guarantee1_satisfied(r.topk_idx, pq.tau_star, pq.spec.k, r.eps)
+        np.testing.assert_array_equal(run_scan(pq).topk_idx, pq.true_topk())
+    assert "sdf" not in vars(ds)
+    with pytest.raises(RuntimeError, match="without a SparkSession"):
+        ds.sdf

@@ -19,8 +19,8 @@ def test_paper_reference_numbers_complete():
         assert set(row) == {"scan_s", *VARIANT_ORDER}
 
 
-def test_table2_rows(spark):
-    rows = table2.rows(spark, sf=0.002)
+def test_table2_rows():
+    rows = table2.rows(sf=0.002)
     assert [r["dataset"] for r in rows] == ["FLIGHTS", "TAXI", "POLICE"]
     for r in rows:
         assert r["ours_tuples"] == 12_000
@@ -29,8 +29,8 @@ def test_table2_rows(spark):
     assert "FLIGHTS" in txt and "604,000,000" in txt
 
 
-def test_table3_rows(spark):
-    rows = table3.rows(spark, sf=0.002)
+def test_table3_rows():
+    rows = table3.rows(sf=0.002)
     assert len(rows) == 9
     by_q = {r["query"]: r for r in rows}
     assert by_q["taxi-q1"]["vz_paper"] == 7548
@@ -48,6 +48,7 @@ def test_run_query_experiment_structure(prepared):
         assert v.seconds == pytest.approx(sum(r.wall for r in v.runs) / 2)
         assert v.speedup == pytest.approx(exp.scan_seconds / v.seconds)
         assert 0 < v.read_fraction <= 1.0
+        assert 0 <= v.time_fetch <= v.seconds
         assert len(v.runs) == 2
         assert sum(v.stop_reasons.values()) == 2
         assert set(v.stop_reasons) <= {"sum_delta", "max_delta", "exhausted"}
