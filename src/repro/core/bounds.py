@@ -49,14 +49,22 @@ def delta_bound(n, epsilon, d: int):
 
     The inversion of Theorem 1: δ = min(1, 2^d · exp(−ε²·n/2)), computed
     in log space so huge ``d`` (e.g. |V_X| = 161) cannot overflow.
-    ``n`` and ``epsilon`` broadcast; ``n == 0`` gives 1.
+    ``n`` and ``epsilon`` broadcast; ``n == 0`` gives 1, and so does a
+    negative ``epsilon``, which bounds nothing.  HistSim calls this once
+    per iteration over all |V_Z| candidates, so it works in one buffer.
     """
     if d < 1:
         raise ValueError(f"support size d must be >= 1, got {d}")
-    n = np.asarray(n, dtype=np.float64)
+    n = np.asarray(n)
     eps = np.asarray(epsilon, dtype=np.float64)
-    log_delta = d * _LN2 - eps**2 * n / 2.0
-    out = np.exp(np.minimum(log_delta, 0.0))
+    out = np.empty(np.broadcast(n, eps).shape)
+    np.maximum(eps, 0.0, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(out, n, out=out)
+    np.multiply(out, 0.5, out=out)
+    np.subtract(d * _LN2, out, out=out)  # log δ = d·ln2 − ε²·n/2
+    np.minimum(out, 0.0, out=out)
+    np.exp(out, out=out)
     return out if out.ndim else float(out)
 
 

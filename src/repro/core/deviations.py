@@ -27,12 +27,40 @@ class DeviationChoice:
 
     ``matching`` is a boolean mask over candidates (True = in M),
     ``eps`` the chosen per-candidate deviations, ``split`` the split
-    point s (``nan`` when constraint 1 is vacuous).
+    point s (``nan`` when constraint 1 is vacuous).  ``nearest`` holds the
+    indices of M and of the runner-up, the (k+1)-th candidate in (τ,
+    index) order (``None`` when M is every candidate); passed back in on
+    the next iteration, it narrows that iteration's search for M.
     """
 
     matching: np.ndarray
     eps: np.ndarray
     split: float
+    nearest: np.ndarray | None = None
+
+
+def _first(tau: np.ndarray, k: int, nearest=None) -> np.ndarray:
+    """The first k+1 candidates in (τ, index) order: M, then the runner-up
+    (for 1 <= k < len(tau)).
+
+    Every candidate up to some bound ≥ the (k+1)-th smallest τ is sorted,
+    stably, so ties keep index order.  The bound is the largest τ of
+    ``nearest``, any k+1 distinct candidates (the last iteration's M and
+    runner-up, whose τ moved little); if that admits many candidates, a
+    partition finds the (k+1)-th smallest τ itself.  With many ties
+    (TAXI holds a few hundred distinct τ over 3,072 candidates, a third
+    of them at 2) this keeps a one-block iteration from partitioning
+    every candidate.
+    """
+    pool = None if nearest is None else np.flatnonzero(tau <= tau[nearest].max())
+    if pool is None or len(pool) > 16 * (k + 1):
+        pool = np.flatnonzero(tau <= np.partition(tau, k)[k])
+    return pool[np.argsort(tau[pool], kind="stable")[: k + 1]]
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def matching_set(tau: np.ndarray, k: int) -> np.ndarray:
@@ -40,35 +68,48 @@ def matching_set(tau: np.ndarray, k: int) -> np.ndarray:
 
     Ties are broken by candidate index, so the mask is exactly that of
     ``np.argsort(tau, kind="stable")[:k]`` (for τ without NaN), found in
-    O(|V_Z|): the k-th smallest value comes from a partition, then the
-    candidates tied at it are taken in index order.
+    O(|V_Z|): a partition finds the (k+1)-th smallest value, then only the
+    candidates up to it are sorted.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if k >= tau.shape[0]:
         return np.ones(tau.shape[0], dtype=bool)
-    kth = np.partition(tau, k - 1)[k - 1]
-    mask = tau < kth
-    mask[np.flatnonzero(tau == kth)[: k - np.count_nonzero(mask)]] = True
+    mask = np.zeros(tau.shape[0], dtype=bool)
+    mask[_first(tau, k)[:k]] = True
     return mask
 
 
-def select_deviations(tau: np.ndarray, k: int, eps: float) -> DeviationChoice:
-    """Pick the maximal {ε_i} satisfying the Lemma 2 constraints."""
+def select_deviations(tau: np.ndarray, k: int, eps: float, nearest=None) -> DeviationChoice:
+    """Pick the maximal {ε_i} satisfying the Lemma 2 constraints.
+
+    The split point is the midpoint of the k-th and (k+1)-th smallest τ.
+    Every ε_j is first set to the outside formula in one pass, then the k
+    entries of M are overwritten.  ``nearest`` is the previous choice's
+    ``nearest``; it changes only the work, never the result.
+
+    Every ε_i is >= 0: s lies between the two order statistics, so
+    s + ε/2 − τ_i >= 0 on M and τ_j − max(s − ε/2, 0) >= 0 off it.
+    """
     tau = np.asarray(tau, dtype=np.float64)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    m = matching_set(tau, k)
-    out = np.empty_like(tau)
-    if m.all():
+    _check_k(k)
+    n_cand = tau.shape[0]
+    if k >= n_cand:
         # k >= number of candidates: separation is vacuous.
-        out[:] = eps
-        return DeviationChoice(matching=m, eps=out, split=float("nan"))
-    s = (tau[m].max() + tau[~m].min()) / 2.0
-    out[m] = np.minimum(eps, s + eps / 2.0 - tau[m])
-    out[~m] = tau[~m] - max(s - eps / 2.0, 0.0)
-    return DeviationChoice(matching=m, eps=out, split=float(s))
+        return DeviationChoice(
+            matching=np.ones(n_cand, dtype=bool), eps=np.full(n_cand, float(eps)),
+            split=float("nan"),
+        )
+    first = _first(tau, k, nearest)
+    m, tau_first = first[:k], tau[first]
+    s = (tau_first[k - 1] + tau_first[k]) / 2.0
+    out = tau - max(s - eps / 2.0, 0.0)
+    out[m] = np.minimum(eps, s + eps / 2.0 - tau_first[:k])
+    mask = np.zeros(n_cand, dtype=bool)
+    mask[m] = True
+    return DeviationChoice(matching=mask, eps=out, split=float(s), nearest=first)
 
 
 def constraints_satisfied(

@@ -19,13 +19,29 @@ Termination: HistSim/ScanMatch/SyncMatch/FastMatch stop when
 The *active* candidates of the AnyActive policy are those with
 δ_i > δ/|V_Z|.
 
-Each iteration costs what its batch changed plus O(|V_Z|): τ_i is
-recomputed only for the candidates whose n_i moved since the last
-iteration (a one-block SyncMatch batch touches at most
-``tuples_per_block`` of them), M comes from a partition rather than a
-sort, and ε_i, δ_i are vectorized over all |V_Z|.  Every value is the
-same, bit for bit, as a full recompute with a stable sort
-(``tests/test_histsim.py`` checks this on random streams).
+Each iteration costs what its batch changed plus a few passes over the
+|V_Z| candidates, with no full-size mask copies:
+
+* τ_i is recomputed, by the one fused kernel of :mod:`repro.core.distance`,
+  only for the candidates whose n_i moved since the last iteration (a
+  one-block SyncMatch batch touches at most ``tuples_per_block`` of
+  them); when most n_i moved, as in a lookahead batch, the kernel reads
+  the whole counts matrix rather than a copy of the moved rows;
+* M, its runner-up and the split point s come from sorting only the
+  candidates whose τ is at most the largest current τ of the last M and
+  runner-up (a partition over all candidates when those are many);
+* ε_i is one pass over all candidates plus a k-entry fix-up for M, and
+  δ_i is Theorem 1 evaluated in one buffer, then multiplied by a held
+  0/1 factor that is 0 for exhausted candidates and is updated only at
+  the rows whose n_i moved.
+
+Every value is the same, bit for bit, as a full recompute with a stable
+sort (``tests/test_histsim.py`` checks this on random streams, TAXI-shaped
+ones among them).  On TAXI at SF 0.4 (3,072 candidates × 24 bins,
+512-block batches) an iteration and its merge cost 0.36–0.65 ms on a
+4-core Xeon VM, against 0.68–1.29 ms with a separate normalisation pass
+and mask-indexed deviations (``jobs/table4.py``); the τ kernel is just
+over half of :meth:`HistSimState.iterate`.
 """
 from __future__ import annotations
 
@@ -86,6 +102,10 @@ class HistSimState:
         self._n = np.zeros(n_candidates, dtype=np.int64)       # n_i, kept by update
         self._n_seen = np.zeros(n_candidates, dtype=np.int64)  # n_i at the last iterate
         self._tau = np.full(n_candidates, 2.0)                 # τ_i at the last iterate
+        # 1.0 while candidate i has unread tuples, 0.0 once n_i = N_i: it is
+        # exact, so δ_i = 0.  Kept at the rows an iterate sees change.
+        self._live = (totals != 0).astype(np.float64)
+        self._nearest = None  # M and runner-up of the last iterate
         self.n_iterations = 0
         self.last: IterationResult | None = None
 
@@ -123,19 +143,31 @@ class HistSimState:
     def iterate(self) -> IterationResult:
         """Lines 8–14 of Algorithm 1; returns (and stores) the snapshot.
 
-        τ_i is recomputed only where n_i changed since the last call: counts
-        only grow, so an unchanged n_i means an unchanged row.
+        τ_i is recomputed only where n_i changed since the last call (or
+        for every row, when most changed): counts only grow, so an
+        unchanged n_i means an unchanged row.
         """
         n = self._n
-        changed = np.flatnonzero(n != self._n_seen)
-        self._tau[changed] = l1_distances(self.counts[changed], self.qhat)
-        self._n_seen[changed] = n[changed]
+        moved = n != self._n_seen
+        n_moved = np.count_nonzero(moved)
+        if 2 * n_moved > self.n_candidates:
+            # Most rows moved (a lookahead batch): recompute every row from
+            # the counts matrix itself.  An unmoved row gets the same bits
+            # again, and copying then scattering most rows costs more.
+            changed = slice(None)
+            self._tau = l1_distances(self.counts, self.qhat)
+        else:
+            changed = np.flatnonzero(moved)
+            if n_moved:
+                self._tau[changed] = l1_distances(self.counts[changed], self.qhat)
+        n_changed = n[changed]
+        self._n_seen[changed] = n_changed
+        self._live[changed] = n_changed != self.totals[changed]
         tau = self._tau
-        choice = select_deviations(tau, self.k, self.eps)
-        delta_i = np.asarray(
-            delta_bound(n, np.maximum(choice.eps, 0.0), self.d), dtype=np.float64
-        )
-        delta_i[n == self.totals] = 0.0
+        choice = select_deviations(tau, self.k, self.eps, self._nearest)
+        self._nearest = choice.nearest
+        delta_i = delta_bound(n, choice.eps, self.d)
+        delta_i *= self._live
         res = IterationResult(
             tau=tau.copy(),
             matching=choice.matching,

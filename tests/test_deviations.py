@@ -123,3 +123,26 @@ def test_constraints_property(tau, k, eps):
     ch = select_deviations(tau, k, eps)
     assert constraints_satisfied(tau, ch.eps, ch.matching, eps)
     assert ch.matching.sum() == k
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nearest_changes_no_result(seed):
+    """``nearest`` narrows the work only: any k+1 distinct candidates (the
+    true first k+1, a random set, or the k+1 largest τ, which forces the
+    full partition) give the same choice, and the returned ``nearest`` is
+    the stable argsort's first k+1 (M, then the runner-up)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 400))
+    tau = rng.choice(np.round(rng.uniform(0, 2, 12), 2), size=n)
+    tau[rng.random(n) < 0.3] = 2.0
+    order = np.argsort(tau, kind="stable")
+    for k in (1, 3, 10, n - 1):
+        want = select_deviations(tau, k, 0.2)
+        np.testing.assert_array_equal(want.nearest, order[: k + 1])
+        np.testing.assert_array_equal(np.flatnonzero(want.matching), np.sort(order[:k]))
+        for near in (order[: k + 1], rng.choice(n, k + 1, replace=False), order[-(k + 1):]):
+            got = select_deviations(tau, k, 0.2, near)
+            assert np.array_equal(got.matching, want.matching)
+            assert np.array_equal(got.eps, want.eps)
+            assert got.split == want.split
+            assert np.array_equal(got.nearest, want.nearest)

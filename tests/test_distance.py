@@ -1,6 +1,7 @@
-"""Normalized ℓ₁ distance: known values + metric properties used by
-Lemmas 1–2.  The Scan that runs it on Spark aggregates is checked on
-every query in ``test_runner``."""
+"""Normalized ℓ₁ distance: known values, metric properties used by
+Lemmas 1–2, and the fused kernel against its definition at the shapes
+the queries use.  The Scan that runs it is checked on every query in
+``test_runner``."""
 import numpy as np
 import pytest
 
@@ -58,3 +59,34 @@ def test_lemma1_deviation_to_reconstruction(seed):
     tau_tru = l1_distances(tru, q)
     dev = np.abs(normalize_rows(est) - normalize_rows(tru)).sum(axis=1)
     assert np.all(np.abs(tau_est - tau_tru) <= dev + 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize(
+    "shape", [(3072, 24), (3072, 12), (161, 161), (161, 7)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_l1_kernel_rows_and_definition(shape, kind):
+    """At the queries' |V_Z| × |V_X| shapes, with some all-zero rows:
+
+    * a row's τ has the same bits whether it is computed alone, in a
+      random subset or with every row (HistSim recomputes only the rows
+      a batch changed and must equal a full recompute exactly);
+    * τ is the definition ||r̂_i − Q̂||₁ to 1e-12, and 2 on empty rows.
+    """
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    counts = rng.integers(0, 40, size=shape)
+    counts[rng.random(shape[0]) < 0.2] = 0
+    if kind == "float":
+        counts = counts * rng.random(shape) * 1e3
+    q = rng.random(shape[1])
+    q[rng.random(shape[1]) < 0.2] = 0.0
+    q[0] = 1.0
+    tau = l1_distances(counts, q)
+    for size in (1, 7, shape[0] // 3, shape[0]):
+        idx = np.sort(rng.choice(shape[0], size, replace=False))
+        assert np.array_equal(l1_distances(counts[idx], q), tau[idx])
+    empty = counts.sum(axis=1) == 0
+    assert empty.any() and not empty.all()
+    assert np.all(tau[empty] == 2.0)
+    want = np.abs(normalize_rows(counts) - normalize_target(q)).sum(axis=1)
+    np.testing.assert_allclose(tau[~empty], want[~empty], rtol=0, atol=1e-12)

@@ -239,18 +239,50 @@ def random_stream(rng, n_cand, d, steps):
     return stream
 
 
-@pytest.mark.parametrize("seed", range(8))
+def taxi_stream(rng, n_cand, d, batch, steps):
+    """TAXI-shaped batches over 3,072 × 24: one-block batches of 32
+    single tuples from a skewed candidate mix, or lookahead batches of
+    16k triples that move every candidate (even steps) or most of them
+    (odd steps, as TAXI's 512-block batches do)."""
+    weights = rng.pareto(1.0, n_cand) + 0.1
+    weights /= weights.sum()
+    stream = []
+    for step in range(steps):
+        if batch == "blocks":
+            z = rng.choice(n_cand, 32, p=weights)
+            cnt = np.ones(32, dtype=np.int64)
+        else:
+            every = np.arange(n_cand) if step % 2 == 0 else np.arange(0)
+            z = np.concatenate((every, rng.choice(n_cand, 16384 - len(every), p=weights)))
+            cnt = rng.integers(1, 3, len(z))
+        stream.append((z, rng.integers(0, d, len(z)), cnt))
+    return stream
+
+
+@pytest.mark.parametrize("case", [*range(8), "taxi-blocks", "taxi-batches"])
 @pytest.mark.parametrize("k_pick", ["one", "mid", "all"])
-def test_incremental_matches_full_recompute(seed, k_pick):
+def test_incremental_matches_full_recompute(case, k_pick):
     """Every iteration's τ, M, ε_i, δ_i and δ^upper equal a from-scratch
-    recompute exactly, and no snapshot changes after a later iteration."""
-    rng = np.random.default_rng(seed)
-    n_cand, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+    recompute exactly, and no snapshot changes after a later iteration.
+
+    Integer cases draw small random streams; the TAXI cases run 3,072
+    candidates × 24 bins with tie-heavy τ, in one-block batches (few rows
+    change) or in 16k-triple batches (every row, or most rows, change)."""
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        n_cand, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+    else:
+        rng = np.random.default_rng(3072)
+        n_cand, d = 3072, 24
     k = {"one": 1, "mid": max(1, n_cand // 3), "all": n_cand}[k_pick]
     # Zero target bins give sampled candidates τ = 2, tied with the unsampled.
     target = rng.integers(0, 3, d).astype(float)
     target[0] = 1.0
-    stream = random_stream(rng, n_cand, d, steps=40)
+    if isinstance(case, int):
+        stream = random_stream(rng, n_cand, d, steps=40)
+    else:
+        batch = case.split("-")[1]
+        stream = taxi_stream(rng, n_cand, d, batch, steps=120 if batch == "blocks" else 6)
     final = np.zeros((n_cand, d), dtype=np.int64)
     for z, x, cnt in stream:
         np.add.at(final, (z, x), cnt)
