@@ -119,10 +119,9 @@ class HistSimState:
     def update(self, z_idx, x_idx, cnt) -> None:
         """Merge aggregated samples: counts[z, x] += cnt (vectorized).
 
-        This is the statistics engine's r_i ← r_i + r_i^partial merge, one
-        add on the flat index z·|V_X| + x.  Raises ``ValueError``, and
-        merges nothing, if a z or x is out of range (the flat index would
-        fold it into a neighbouring cell) or a count is negative.
+        Raises ``ValueError``, and merges nothing, if a z or x is out of
+        range (the flat index would fold it into a neighbouring cell) or
+        a count is negative; then merges with :meth:`merge`.
         """
         z = np.asarray(z_idx, dtype=np.intp)
         x = np.asarray(x_idx, dtype=np.intp)
@@ -135,8 +134,18 @@ class HistSimState:
                 f"update needs 0 <= z < {self.n_candidates}, 0 <= x < {self.d} "
                 "and cnt >= 0"
             )
-        np.add.at(self.counts.reshape(-1), z * self.d + x, cnt)
-        np.add.at(self._n, z, cnt)
+        self.merge(z, z * self.d + x, cnt)
+
+    def merge(self, z_idx, cells, cnt=1) -> None:
+        """The statistics engine's r_i ← r_i + r_i^partial merge, unchecked:
+        counts.flat[cells] += cnt and n[z] += cnt, one add each.
+
+        The caller guarantees ``cells = z·|V_X| + x`` with every z and x in
+        range and ``cnt >= 0``: :meth:`update` checks its triples, and the
+        replay block store checked its rows once when it was built.
+        """
+        np.add.at(self.counts.reshape(-1), cells, cnt)
+        np.add.at(self._n, z_idx, cnt)
 
     # -- one iteration of Algorithm 1 --------------------------------------
 

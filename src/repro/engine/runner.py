@@ -24,10 +24,17 @@ Two execution modes share this loop:
 * ``mode="spark"`` — each batch's selected blocks are fetched with a
   real Spark filter + ``GROUP BY`` job (the distributed sample+aggregate
   path);
-* ``mode="replay"`` — batches are gathered from the rows' codes in
-  :class:`~repro.storage.blocks.BlockCountsIndex`; identical decisions,
-  identical blocks read (tested), all in driver memory, so a run's wall
-  time is what Table 4 compares with the exact Scan over the same codes.
+* ``mode="replay"`` — each batch is one row take of packed
+  ``z·|V_X| + x`` cells from the fixed-size block store
+  :class:`~repro.storage.blocks.BlockCountsIndex`, merged unchecked by
+  :meth:`~repro.core.histsim.HistSimState.merge` (the store checked its
+  codes once when it was built); identical decisions, identical blocks
+  read (tested), all in driver memory, so a run's wall time is what
+  Table 4 compares with the exact Scan over the same codes.
+
+Spark triples go through the checked
+:meth:`~repro.core.histsim.HistSimState.update`, which ends in the same
+merge.
 
 The loop walks blocks sequentially from a (seeded-random) start with
 wraparound — the paper's "linear scan of the shuffled data starting
@@ -178,16 +185,19 @@ def run_variant(
         if mode == "spark":
             zi, xi, cnt = _fetch_spark(pq, sdf, to_read)
         else:
-            zi, xi, cnt = pq.counts_index.gather(to_read)
+            zi, cells = pq.counts_index.gather(to_read)
         res.time_fetch += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        state.update(zi, xi, cnt)
+        if mode == "spark":
+            state.update(zi, xi, cnt)
+        else:
+            state.merge(zi, cells)
         state.iterate()
         res.time_stats += time.perf_counter() - t0
         res.n_stat_iters += 1
 
-        res.tuples_read += int(cnt.sum())
+        res.tuples_read += int(cnt.sum()) if mode == "spark" else len(cells)
         res.blocks_read += len(to_read)
         terminated = state.terminated(spec.criterion)
 

@@ -2,9 +2,11 @@
 
 The paper's FastMatch reads 4 KiB disk blocks over a randomly permuted
 row-store (§4.2 Challenge 1).  Here a *block* is ``tuples_per_block``
-consecutive rows of the (already exchangeable) generated order.  Replay
-and the exact Scan read the vocabulary codes the generators drew, and
-the bitmap index is derived from them; spark-mode batches run one Spark
+consecutive rows of the (already exchangeable) generated order.  The
+exact Scan reads the vocabulary codes the generators drew; replay reads
+them packed into one int32 ``z·|V_X| + x`` cell per row, a fixed-size
+block store that each batch reads with one row take; the bitmap index
+is derived from the codes.  Spark-mode batches run one Spark
 ``GROUP BY z, x`` over the selected blocks of the lazily built relation.
 """
 from repro.storage.blocks import (  # noqa: F401

@@ -46,10 +46,8 @@ def bitmap_from_index(idx: BlockCountsIndex) -> np.ndarray:
     """The packed bitmap, set bit by bit from the counts index's codes
     (no Spark job, and no unpacked n_blocks × |V_Z| matrix)."""
     out = np.zeros((idx.n_blocks, -(-len(idx.z_values) // 8)), dtype=np.uint8)
-    block_of = np.repeat(
-        np.arange(idx.n_blocks, dtype=np.int64), np.diff(idx.offsets)
-    )
     z = idx.z_idx
+    block_of = np.repeat(np.arange(idx.n_blocks, dtype=np.int64), idx.tuples_per_block)[: len(z)]
     np.bitwise_or.at(out, (block_of, z >> 3), (0x80 >> (z & 7)).astype(np.uint8))
     return out
 

@@ -1,15 +1,18 @@
-"""Blocked data layout, the replay-mode counts index and block aggregation.
+"""Blocked data layout, the replay-mode block store and block aggregation.
 
 FastMatch's I/O manager reads fixed-size blocks of a randomly permuted
 row-store.  Block ``b`` is rows ``[b·tpb, (b+1)·tpb)`` of the generated
-order, already a random permutation as the generators draw i.i.d. rows.
+order, already a random permutation as the generators draw i.i.d. rows;
+only the final block may hold fewer rows.
 
-Replay mode reads the generators' vocabulary codes: a CSR-style
-driver-side index (:class:`BlockCountsIndex`) with no aggregation, and
-:func:`exact_counts` over all of them (ground truth and the exact Scan).
-Spark-mode batches run :func:`block_counts`, a ``GROUP BY z, x`` over the
-selected blocks of the Spark relation, and :func:`encode` guards the
-values they return.
+Replay mode reads the generators' vocabulary codes through a fixed-size
+block store (:class:`BlockCountsIndex`): each row is packed once into an
+int32 cell ``z·|V_X| + x``, range-checked once at build time, so reading
+a batch is one row take and merging it needs no conversion or check.
+:func:`exact_counts` counts all the rows (ground truth and the exact
+Scan).  Spark-mode batches run :func:`block_counts`, a ``GROUP BY z, x``
+over the selected blocks of the Spark relation, and :func:`encode`
+guards the values they return.
 """
 from __future__ import annotations
 
@@ -51,30 +54,66 @@ def block_counts(df: DataFrame, z: str, x: str, block_ids) -> DataFrame:
 
 @dataclass
 class BlockCountsIndex:
-    """CSR-style per-block counts on the driver, for replay-mode runs.
+    """The replay-mode block store: one packed cell per row, in block order.
 
-    Triples are in block order; ``offsets[b]:offsets[b+1]`` slices the
-    (candidate-index, bin-index, count) triples of block ``b``.
+    ``cells[i] = z_idx[i]·|V_X| + x_idx[i]`` (int32) for row ``i``; block
+    ``b`` is rows ``[b·tpb, min((b+1)·tpb, n))``, so the full blocks are
+    the rows of ``cells`` viewed as ``(n // tpb, tpb)``.  ``z_idx`` and
+    ``x_idx`` are the dataset's code arrays themselves, not copies.
     ``z_values`` / ``x_values`` give the index → value mapping used
     throughout the engine.
+
+    ``offsets`` and ``cnt`` are not used by the program: they stay, as a
+    computed array and a zero-copy view of ones, only because
+    ``perfbench/spans.py`` reads them, until its metrics are remapped to
+    the block store (ROADMAP direction 1).
     """
 
     z_values: list
     x_values: list
     n_blocks: int
-    offsets: np.ndarray  # (n_blocks + 1,) int64
-    z_idx: np.ndarray    # (nnz,) int32
-    x_idx: np.ndarray    # (nnz,) int32
-    cnt: np.ndarray      # (nnz,) int64
+    tuples_per_block: int
+    cells: np.ndarray  # (n,) int32, read-only
+    z_idx: np.ndarray  # (n,) int32
+    x_idx: np.ndarray  # (n,) int32
 
-    def gather(self, block_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated triples of many blocks, in ``block_ids`` order (a
-        replay-mode batch fetch): one offset-arithmetic index, no loop."""
-        ids = np.asarray(block_ids, dtype=np.int64)
-        starts = self.offsets[ids]
-        lens = self.offsets[ids + 1] - starts
-        rows = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        return self.z_idx[rows], self.x_idx[rows], self.cnt[rows]
+    def __post_init__(self) -> None:
+        tpb = self.tuples_per_block
+        n_full = len(self.cells) // tpb
+        self._cell_rows = self.cells[: n_full * tpb].reshape(n_full, tpb)
+        self._z_rows = self.z_idx[: n_full * tpb].reshape(n_full, tpb)
+        # The final block when it is partial (empty otherwise), id n_full.
+        self._cell_tail = self.cells[n_full * tpb :]
+        self._z_tail = self.z_idx[n_full * tpb :]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Row offsets of the blocks, ``(n_blocks + 1,)`` int64."""
+        n = len(self.cells)
+        return np.minimum(np.arange(self.n_blocks + 1, dtype=np.int64) * self.tuples_per_block, n)
+
+    @property
+    def cnt(self) -> np.ndarray:
+        """A count of 1 per row, as a read-only view of one int64."""
+        return np.broadcast_to(np.int64(1), self.cells.shape)
+
+    def gather(self, block_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The z codes and cells of many blocks' rows, in ``block_ids``
+        order (a replay-mode batch fetch): one row take of the full
+        blocks, with the partial final block spliced in where requested."""
+        ids = np.asarray(block_ids, dtype=np.intp)
+        n_full = len(self._cell_rows)
+        tail = np.flatnonzero(ids == n_full) if len(self._cell_tail) else ids[:0]
+        if len(tail):
+            ids = np.delete(ids, tail)
+        z = np.take(self._z_rows, ids, axis=0).reshape(-1)
+        cells = np.take(self._cell_rows, ids, axis=0).reshape(-1)
+        if len(tail):
+            # Insert each partial block before the full block that followed it.
+            at = np.repeat((tail - np.arange(len(tail))) * self.tuples_per_block, len(self._cell_tail))
+            z = np.insert(z, at, np.tile(self._z_tail, len(tail)))
+            cells = np.insert(cells, at, np.tile(self._cell_tail, len(tail)))
+        return z, cells
 
 
 def exact_counts(z_codes: np.ndarray, x_codes: np.ndarray, n_z: int, n_x: int) -> np.ndarray:
@@ -90,20 +129,32 @@ def build_counts_index(
     *,
     z_values: list,
     x_values: list,
-    n_blocks: int,
     tuples_per_block: int,
 ) -> BlockCountsIndex:
-    """The replay-mode index over the rows' codes: block ``b`` is rows
-    ``[b·tpb, (b+1)·tpb)`` and each row is one triple with count 1, so
-    nothing is aggregated (tested against the DuckDB oracle)."""
-    n = len(z_codes)
-    offsets = np.minimum(np.arange(n_blocks + 1, dtype=np.int64) * tuples_per_block, n)
+    """The replay-mode block store over the rows' codes (block ``b`` is
+    rows ``[b·tpb, (b+1)·tpb)``; tested against the DuckDB oracle).
+
+    Raises ``ValueError`` on a z code outside [0, |V_Z|), an x code
+    outside [0, |V_X|) or |V_Z|·|V_X| ≥ 2³¹: this one check over the
+    whole store is what lets every batch merge its cells unchecked.
+    """
+    n_z, n_x, n = len(z_values), len(x_values), len(z_codes)
+    if len(x_codes) != n:
+        raise ValueError(f"z and x codes differ in length: {n} and {len(x_codes)}")
+    if n_z * n_x >= 2**31:
+        raise ValueError(f"|V_Z|·|V_X| = {n_z}·{n_x} does not fit int32 cells")
+    for codes, size, name in ((z_codes, n_z, "z"), (x_codes, n_x, "x")):
+        if n and (codes.min() < 0 or codes.max() >= size):
+            raise ValueError(f"{name} codes must lie in [0, {size})")
+    cells = z_codes.astype(np.int32) * np.int32(n_x)
+    cells += x_codes
+    cells.flags.writeable = False
     return BlockCountsIndex(
         z_values=list(z_values),
         x_values=list(x_values),
-        n_blocks=n_blocks,
-        offsets=offsets,
+        n_blocks=-(-n // tuples_per_block),
+        tuples_per_block=tuples_per_block,
+        cells=cells,
         z_idx=z_codes,
         x_idx=x_codes,
-        cnt=np.ones(n, dtype=np.int64),
     )

@@ -90,7 +90,7 @@ class LoadedDataset:
     n_rows: int
     tuples_per_block: int
     n_blocks: int
-    codes: dict = field(repr=False)  # column → int32 codes, row (= block) order
+    codes: dict = field(repr=False)  # column → read-only int32 codes, row (= block) order
     sf: float
     seed: int | None                 # None: the generator's default seed
     spark: SparkSession | None = field(repr=False)
@@ -121,10 +121,13 @@ def load_dataset(
         raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
     columns, meta = draw(name, sf=sf, seed=seed)
     n_rows = len(next(iter(columns.values())))
+    codes = {c: columns[c] for c in meta.value_sets}
+    for a in codes.values():
+        a.flags.writeable = False  # block stores range-check them once, when built
     return LoadedDataset(
         name=name, meta=meta, n_rows=n_rows, tuples_per_block=tuples_per_block,
         n_blocks=-(-n_rows // tuples_per_block),
-        codes={c: columns[c] for c in meta.value_sets},
+        codes=codes,
         sf=sf, seed=seed, spark=spark,
     )
 
@@ -200,7 +203,6 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         ds.codes[spec.x],
         z_values=z_values,
         x_values=x_values,
-        n_blocks=ds.n_blocks,
         tuples_per_block=ds.tuples_per_block,
     )
     exact = exact_counts(ds.codes[spec.z], ds.codes[spec.x], len(z_values), len(x_values))

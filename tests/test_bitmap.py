@@ -44,7 +44,6 @@ def test_bitmap_from_index_equals_spark_build(fl_bitmap):
         ds.codes["departure_hour"],
         z_values=ds.meta.value_sets["origin"],
         x_values=ds.meta.value_sets["departure_hour"],
-        n_blocks=ds.n_blocks,
         tuples_per_block=ds.tuples_per_block,
     )
     np.testing.assert_array_equal(np.unpackbits(bitmap_from_index(idx), axis=1, count=161), bm)
@@ -115,7 +114,7 @@ def test_tuple_count_exhaustion_equals_all_blocks_read(qid, prepared):
     rng = np.random.default_rng(0)
     for frac in (0.0, 0.5, 0.9, 0.99, 1.0):
         read = rng.random(pq.ds.n_blocks) < frac
-        zi, _, cnt = pq.counts_index.gather(np.flatnonzero(read))
-        n = np.bincount(zi, weights=cnt, minlength=pq.n_candidates)
+        zi, _ = pq.counts_index.gather(np.flatnonzero(read))
+        n = np.bincount(zi, minlength=pq.n_candidates)
         all_blocks_read = ~(bm & ~read[:, None]).any(axis=0)
         np.testing.assert_array_equal(n == totals, all_blocks_read)

@@ -13,7 +13,7 @@ from repro.storage.blocks import (
     exact_counts,
 )
 from repro.workloads import datasets as wd
-from repro.workloads.queries import QUERIES
+from repro.workloads.queries import QUERIES, load_dataset, prepare
 
 
 def test_add_block_ids_positions():
@@ -53,7 +53,7 @@ def test_block_counts_filtered_oracle(datasets):
     )
 
 
-# -- counts index ------------------------------------------------------------
+# -- the replay block store --------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +64,17 @@ def fl_index(datasets):
         ds.codes["day_of_week"],
         z_values=ds.meta.value_sets["origin"],
         x_values=ds.meta.value_sets["day_of_week"],
-        n_blocks=ds.n_blocks,
         tuples_per_block=ds.tuples_per_block,
     )
+
+
+@pytest.fixture(scope="module")
+def police_small():
+    """police-q1 at SF 0.001: 6,000 rows in 188 blocks, the last of 16 rows."""
+    spec = QUERIES["police-q1"]
+    pq = prepare(load_dataset(None, "police", sf=0.001), spec)
+    assert pq.ds.n_blocks == 188 and pq.ds.n_rows - 187 * pq.ds.tuples_per_block == 16
+    return pq
 
 
 def test_index_exact_counts_match_spark(fl_index):
@@ -83,55 +91,100 @@ def test_index_exact_counts_match_spark(fl_index):
     assert exact.sum() == ds.n_rows
 
 
-def test_index_gather_matches_slices(fl_index):
-    """The offset-arithmetic gather equals explicit per-block
-    ``offsets[b]:offsets[b+1]`` slicing, concatenated in request order."""
+def test_index_packs_codes(fl_index):
+    """``cells`` is the read-only int32 ``z·|V_X| + x`` of every row, and
+    ``cnt`` a read-only view of ones that allocates no row of its own."""
     ds, idx = fl_index
-    n = idx.n_blocks
+    d = len(idx.x_values)
+    assert idx.cells.dtype == np.int32 and not idx.cells.flags.writeable
+    np.testing.assert_array_equal(idx.cells, idx.z_idx.astype(np.int64) * d + idx.x_idx)
+    assert len(idx.cnt) == ds.n_rows and idx.cnt.nbytes == 8 * ds.n_rows
+    assert idx.cnt.strides == (0,) and not idx.cnt.flags.writeable
+    assert (idx.cnt == 1).all()
+    np.testing.assert_array_equal(
+        idx.offsets, np.minimum(np.arange(ds.n_blocks + 1) * ds.tuples_per_block, ds.n_rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "z, x, n_z, n_x, match",
+    [
+        ([0, -1], [0, 0], 3, 2, "z codes"),
+        ([0, 3], [0, 0], 3, 2, "z codes"),
+        ([0, 1], [-1, 0], 3, 2, "x codes"),
+        ([0, 1], [0, 2], 3, 2, "x codes"),     # x = |V_X|: would fold into z + 1
+        ([0, 1], [0, 1], 2**16, 2**15, "int32"),  # |V_Z|·|V_X| = 2³¹
+        ([0, 1], [0], 3, 2, "length"),
+    ],
+    ids=["z-neg", "z-high", "x-neg", "x-high", "cells-overflow", "length"],
+)
+def test_build_counts_index_rejects_out_of_range(z, x, n_z, n_x, match):
+    """The one range check of the replay store, made when it is built."""
+    with pytest.raises(ValueError, match=match):
+        build_counts_index(
+            np.array(z, dtype=np.int32), np.array(x, dtype=np.int32),
+            z_values=list(range(n_z)), x_values=list(range(n_x)),
+            tuples_per_block=2,
+        )
+
+
+def _gather_cases(n):
     rng = np.random.default_rng(0)
-    block_sets = [
+    return [
         rng.choice(n, size=50, replace=False),  # unordered, non-contiguous
         np.sort(rng.choice(n, size=50, replace=False)),
         [int(rng.integers(n))],  # a single block
+        [n - 1],  # the final block alone
         np.arange(n - 3, n + 5) % n,  # a window that wraps past the last block
+        [n - 1, 0, n - 1, n - 1, 5],  # the final block repeated, first and last
+        np.arange(n),
         [],
     ]
-    for blocks in block_sets:
-        got = idx.gather(blocks)
-        for arr, g in zip((idx.z_idx, idx.x_idx, idx.cnt), got):
-            want = [arr[:0]] + [arr[idx.offsets[b] : idx.offsets[b + 1]] for b in blocks]
-            np.testing.assert_array_equal(g, np.concatenate(want))
-    assert idx.gather(np.arange(n))[2].sum() == ds.n_rows
-    assert max(idx.gather([b])[2].sum() for b in range(n)) <= ds.tuples_per_block
+
+
+def test_index_gather_matches_slices(fl_index, police_small):
+    """``gather`` returns, block after block in request order, the z codes
+    and cells of rows ``[b·tpb, min((b+1)·tpb, n))``: on a store of full
+    blocks and on one whose final block is partial."""
+    for idx in (fl_index[1], police_small.counts_index):
+        n_rows, tpb = len(idx.cells), idx.tuples_per_block
+        for blocks in _gather_cases(idx.n_blocks):
+            z, cells = idx.gather(blocks)
+            rows = [np.arange(b * tpb, min((b + 1) * tpb, n_rows)) for b in blocks]
+            rows = np.concatenate([np.arange(0)] + rows)
+            np.testing.assert_array_equal(z, idx.z_idx[rows])
+            np.testing.assert_array_equal(cells, idx.cells[rows])
+            assert z.dtype == cells.dtype == np.int32
+        sizes = [len(idx.gather([b])[1]) for b in range(idx.n_blocks)]
+        assert sum(sizes) == n_rows and max(sizes) == tpb
 
 
 def test_index_gather_empty(fl_index):
     _, idx = fl_index
-    zi, xi, cnt = idx.gather([])
-    assert len(zi) == len(xi) == len(cnt) == 0
+    z, cells = idx.gather([])
+    assert len(z) == len(cells) == 0
 
 
-@pytest.mark.parametrize(
-    "qid", sorted(q for q, spec in QUERIES.items() if spec.dataset in ("flights", "taxi"))
-)
-def test_index_blocks_oracle(qid, prepared):
-    """Every block's (z, x) counts from ``gather([b])`` equal DuckDB's
-    ``GROUP BY _block_id, z, x`` over the Spark relation, so the driver's
-    codes and the relation hold the same rows in the same blocks."""
-    pq = prepared[qid]
+def _block_rows_vs_duckdb(pq, data):
+    """Every block's rows from ``gather([b])``, decoded from (z, cells),
+    against DuckDB's ``GROUP BY _block_id, z, x`` over ``data``."""
     z, x, idx = pq.spec.z, pq.spec.x, pq.counts_index
+    d = len(idx.x_values)
     blocks = [idx.gather([b]) for b in range(idx.n_blocks)]
+    zi = np.concatenate([bz for bz, _ in blocks])
+    cells = np.concatenate([c for _, c in blocks])
+    np.testing.assert_array_equal(cells // d, zi)
     got = (
         pd.DataFrame({
-            BLOCK_COL: np.repeat(np.arange(idx.n_blocks), [len(c) for _, _, c in blocks]),
-            z: np.asarray(idx.z_values)[np.concatenate([zi for zi, _, _ in blocks])],
-            x: np.asarray(idx.x_values)[np.concatenate([xi for _, xi, _ in blocks])],
-            "cnt": np.concatenate([c for _, _, c in blocks]),
+            BLOCK_COL: np.repeat(np.arange(idx.n_blocks), [len(c) for _, c in blocks]),
+            z: np.asarray(idx.z_values)[zi],
+            x: np.asarray(idx.x_values)[cells % d],
         })
-        .groupby([BLOCK_COL, z, x], as_index=False)["cnt"].sum()
+        .groupby([BLOCK_COL, z, x], as_index=False).size()
+        .rename(columns={"size": "cnt"})
     )
     con = duckdb.connect()
-    con.register("data", pq.ds.sdf.toPandas())
+    con.register("data", data)
     want = con.execute(
         f"SELECT {BLOCK_COL}, {z}, {x}, COUNT(*) AS cnt FROM data GROUP BY ALL"
     ).fetchdf()
@@ -142,6 +195,25 @@ def test_index_blocks_oracle(qid, prepared):
         want.sort_values(keys).reset_index(drop=True),
         check_dtype=False,
     )
+
+
+@pytest.mark.parametrize(
+    "qid", sorted(q for q, spec in QUERIES.items() if spec.dataset in ("flights", "taxi"))
+)
+def test_index_blocks_oracle(qid, prepared):
+    """Every block's decoded (z, cells) rows equal DuckDB's ``GROUP BY
+    _block_id, z, x`` over the Spark relation, so the driver's codes and
+    the relation hold the same rows in the same blocks."""
+    pq = prepared[qid]
+    _block_rows_vs_duckdb(pq, pq.ds.sdf.toPandas())
+
+
+def test_index_partial_block_oracle(police_small):
+    """The same oracle on a store whose final block holds 16 of 32 rows,
+    over the generator's frame."""
+    ds = police_small.ds
+    pdf, _ = wd.generate(ds.name, sf=ds.sf, tuples_per_block=ds.tuples_per_block, seed=ds.seed)
+    _block_rows_vs_duckdb(police_small, pdf)
 
 
 # -- the guarded decoder -----------------------------------------------------

@@ -314,3 +314,39 @@ def test_incremental_matches_full_recompute(case, k_pick):
             name: getattr(res, name).copy()
             for name in ("tau", "matching", "eps_i", "delta_i", "n")
         }
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, "taxi-blocks", "taxi-batches"])
+def test_merge_rows_matches_checked_update(case):
+    """The replay merge of int32 rows, ``merge(z, z·|V_X| + x)``, leaves
+    counts, n and every later iteration bit-identical to the checked
+    ``update(z, x, ones)`` on the same rows (the random and TAXI-shaped
+    streams above, each triple expanded into ``cnt`` rows)."""
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        n_cand, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+        stream = random_stream(rng, n_cand, d, steps=40)
+    else:
+        rng = np.random.default_rng(3072)
+        n_cand, d = 3072, 24
+        batch = case.split("-")[1]
+        stream = taxi_stream(rng, n_cand, d, batch, steps=120 if batch == "blocks" else 6)
+    target = rng.integers(0, 3, d).astype(float)
+    target[0] = 1.0
+    final = np.zeros(n_cand, dtype=np.int64)
+    for z, _, cnt in stream:
+        np.add.at(final, z, cnt)
+    totals = np.where(rng.random(n_cand) < 1 / 3, final, BIG)  # some end exhausted
+    oracle, st = (HistSimState(n_cand, target, max(1, n_cand // 3), 0.2, 0.05, totals)
+                  for _ in range(2))
+    for z, x, cnt in stream:
+        z, x = np.repeat(z, cnt), np.repeat(x, cnt)
+        oracle.update(z, x, np.ones(len(z), dtype=np.int64))
+        st.merge(z.astype(np.int32), (z * d + x).astype(np.int32))
+        np.testing.assert_array_equal(st.counts, oracle.counts)
+        np.testing.assert_array_equal(st.n, oracle.n)
+        want, got = oracle.iterate(), st.iterate()
+        for name in ("tau", "matching", "eps_i", "delta_i", "n"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.delta_upper == want.delta_upper
+        np.testing.assert_equal(got.split, want.split)

@@ -88,13 +88,14 @@ def test_compute_target_errors():
 @pytest.mark.parametrize("name", ["flights", "taxi", "police"])
 def test_codes_decode_to_generated_columns(name, datasets):
     """Decoding ``ds.codes`` through the vocabulary gives back the
-    generator's own columns (same SF, same default seed), row for row."""
+    generator's own columns (same SF, same default seed), row for row;
+    the codes are read-only, as the block stores checked them once."""
     ds = datasets[name]
     pdf, meta = wd.generate(name, sf=SF_TEST)
     assert len(pdf) == ds.n_rows
     assert set(ds.codes) == set(meta.value_sets)
     for col, vocab in meta.value_sets.items():
-        assert ds.codes[col].dtype == np.int32
+        assert ds.codes[col].dtype == np.int32 and not ds.codes[col].flags.writeable
         np.testing.assert_array_equal(np.asarray(vocab)[ds.codes[col]], pdf[col].to_numpy())
 
 
