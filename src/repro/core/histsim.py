@@ -134,18 +134,18 @@ class HistSimState:
                 f"update needs 0 <= z < {self.n_candidates}, 0 <= x < {self.d} "
                 "and cnt >= 0"
             )
-        self.merge(z, z * self.d + x, cnt)
+        self.merge(z * self.d + x, cnt)
 
-    def merge(self, z_idx, cells, cnt=1) -> None:
+    def merge(self, cells, cnt=1) -> None:
         """The statistics engine's r_i ← r_i + r_i^partial merge, unchecked:
-        counts.flat[cells] += cnt and n[z] += cnt, one add each.
+        counts.flat[cells] += cnt and n[cells // |V_X|] += cnt, one add each.
 
         The caller guarantees ``cells = z·|V_X| + x`` with every z and x in
         range and ``cnt >= 0``: :meth:`update` checks its triples, and the
         replay block store checked its rows once when it was built.
         """
         np.add.at(self.counts.reshape(-1), cells, cnt)
-        np.add.at(self._n, z_idx, cnt)
+        np.add.at(self._n, cells // self.d, cnt)
 
     # -- one iteration of Algorithm 1 --------------------------------------
 

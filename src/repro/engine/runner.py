@@ -30,7 +30,7 @@ Two execution modes share this loop:
   :meth:`~repro.core.histsim.HistSimState.merge` (the store checked its
   codes once when it was built); identical decisions, identical blocks
   read (tested), all in driver memory, so a run's wall time is what
-  Table 4 compares with the exact Scan over the same codes.
+  Table 4 compares with the exact Scan, one count over the same cells.
 
 Spark triples go through the checked
 :meth:`~repro.core.histsim.HistSimState.update`, which ends in the same
@@ -185,14 +185,14 @@ def run_variant(
         if mode == "spark":
             zi, xi, cnt = _fetch_spark(pq, sdf, to_read)
         else:
-            zi, cells = pq.counts_index.gather(to_read)
+            cells = pq.counts_index.gather(to_read)
         res.time_fetch += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         if mode == "spark":
             state.update(zi, xi, cnt)
         else:
-            state.merge(zi, cells)
+            state.merge(cells)
         state.iterate()
         res.time_stats += time.perf_counter() - t0
         res.n_stat_iters += 1
@@ -218,14 +218,14 @@ def run_variant(
 def run_scan(pq: PreparedQuery) -> ScanResult:
     """The exact ``Scan`` baseline: one ``bincount`` over every row, timed.
 
-    Counts the query's z/x codes (the arrays every replay batch gathers
-    from) into the |V_Z| × |V_X| matrix, then computes every candidate's
-    distance and the top-k, the same numpy math as ground truth.  Always
-    correct, and launches no Spark job; Table 4 divides its wall time by
-    each variant's.
+    Counts the block store's packed cells (the rows every replay batch
+    gathers) into the |V_Z| × |V_X| matrix, then computes every
+    candidate's distance and the top-k, the same numpy math as ground
+    truth.  Always correct, and launches no Spark job; Table 4 divides
+    its wall time by each variant's.
     """
     t0 = time.perf_counter()
-    counts = exact_counts(pq.ds.codes[pq.spec.z], pq.ds.codes[pq.spec.x], pq.n_candidates, pq.d)
+    counts = exact_counts(pq.counts_index.cells, pq.n_candidates, pq.d)
     tau = l1_distances(counts, pq.target)
     topk = np.argsort(tau, kind="stable")[: pq.spec.k]
     wall = time.perf_counter() - t0

@@ -9,10 +9,10 @@ Replay mode reads the generators' vocabulary codes through a fixed-size
 block store (:class:`BlockCountsIndex`): each row is packed once into an
 int32 cell ``z·|V_X| + x``, range-checked once at build time, so reading
 a batch is one row take and merging it needs no conversion or check.
-:func:`exact_counts` counts all the rows (ground truth and the exact
-Scan).  Spark-mode batches run :func:`block_counts`, a ``GROUP BY z, x``
-over the selected blocks of the Spark relation, and :func:`encode`
-guards the values they return.
+:func:`exact_counts` counts all the cells in one ``bincount`` (ground
+truth and the exact Scan).  Spark-mode batches run :func:`block_counts`,
+a ``GROUP BY z, x`` over the selected blocks of the Spark relation, and
+:func:`encode` guards the values they return.
 """
 from __future__ import annotations
 
@@ -56,12 +56,13 @@ def block_counts(df: DataFrame, z: str, x: str, block_ids) -> DataFrame:
 class BlockCountsIndex:
     """The replay-mode block store: one packed cell per row, in block order.
 
-    ``cells[i] = z_idx[i]·|V_X| + x_idx[i]`` (int32) for row ``i``; block
-    ``b`` is rows ``[b·tpb, min((b+1)·tpb, n))``, so the full blocks are
-    the rows of ``cells`` viewed as ``(n // tpb, tpb)``.  ``z_idx`` and
-    ``x_idx`` are the dataset's code arrays themselves, not copies.
-    ``z_values`` / ``x_values`` give the index → value mapping used
-    throughout the engine.
+    ``cells[i] = z_idx[i]·|V_X| + x_idx[i]`` (int32) for row ``i`` is the
+    one row format: the exact Scan, ground truth and every replay batch
+    read it.  Block ``b`` is rows ``[b·tpb, min((b+1)·tpb, n))``, so the
+    full blocks are the rows of ``cells`` viewed as ``(n // tpb, tpb)``.
+    ``z_idx`` and ``x_idx`` are the dataset's code arrays themselves, not
+    copies; only the bitmap build reads them.  ``z_values`` / ``x_values``
+    give the index → value mapping used throughout the engine.
 
     ``offsets`` and ``cnt`` are not used by the program: they stay, as a
     computed array and a zero-copy view of ones, only because
@@ -80,11 +81,9 @@ class BlockCountsIndex:
     def __post_init__(self) -> None:
         tpb = self.tuples_per_block
         n_full = len(self.cells) // tpb
-        self._cell_rows = self.cells[: n_full * tpb].reshape(n_full, tpb)
-        self._z_rows = self.z_idx[: n_full * tpb].reshape(n_full, tpb)
+        self._rows = self.cells[: n_full * tpb].reshape(n_full, tpb)
         # The final block when it is partial (empty otherwise), id n_full.
-        self._cell_tail = self.cells[n_full * tpb :]
-        self._z_tail = self.z_idx[n_full * tpb :]
+        self._tail = self.cells[n_full * tpb :]
 
     @property
     def offsets(self) -> np.ndarray:
@@ -97,30 +96,23 @@ class BlockCountsIndex:
         """A count of 1 per row, as a read-only view of one int64."""
         return np.broadcast_to(np.int64(1), self.cells.shape)
 
-    def gather(self, block_ids) -> tuple[np.ndarray, np.ndarray]:
-        """The z codes and cells of many blocks' rows, in ``block_ids``
-        order (a replay-mode batch fetch): one row take of the full
-        blocks, with the partial final block spliced in where requested."""
+    def gather(self, block_ids) -> np.ndarray:
+        """The cells of many blocks' rows as a multiset (a replay-mode batch
+        fetch): one row take of the full blocks, followed by the partial
+        final block once for each time it is requested.  Merging is an
+        ``add``, so row order changes no count."""
         ids = np.asarray(block_ids, dtype=np.intp)
-        n_full = len(self._cell_rows)
-        tail = np.flatnonzero(ids == n_full) if len(self._cell_tail) else ids[:0]
-        if len(tail):
-            ids = np.delete(ids, tail)
-        z = np.take(self._z_rows, ids, axis=0).reshape(-1)
-        cells = np.take(self._cell_rows, ids, axis=0).reshape(-1)
-        if len(tail):
-            # Insert each partial block before the full block that followed it.
-            at = np.repeat((tail - np.arange(len(tail))) * self.tuples_per_block, len(self._cell_tail))
-            z = np.insert(z, at, np.tile(self._z_tail, len(tail)))
-            cells = np.insert(cells, at, np.tile(self._cell_tail, len(tail)))
-        return z, cells
+        n_tail = np.count_nonzero(ids == len(self._rows)) if len(self._tail) else 0
+        if not n_tail:
+            return np.take(self._rows, ids, axis=0).reshape(-1)
+        full = np.take(self._rows, ids[ids != len(self._rows)], axis=0).reshape(-1)
+        return np.concatenate([full, np.tile(self._tail, n_tail)])
 
 
-def exact_counts(z_codes: np.ndarray, x_codes: np.ndarray, n_z: int, n_x: int) -> np.ndarray:
-    """The full ``n_z × n_x`` counts matrix of (z, x) code pairs: one
-    ``bincount`` over ``z·n_x + x`` (= a complete Scan)."""
-    flat = z_codes.astype(np.intp) * n_x + x_codes
-    return np.bincount(flat, minlength=n_z * n_x).reshape(n_z, n_x)
+def exact_counts(cells: np.ndarray, n_z: int, n_x: int) -> np.ndarray:
+    """The full ``n_z × n_x`` counts matrix of packed ``z·n_x + x`` cells:
+    one ``bincount`` (= a complete Scan)."""
+    return np.bincount(cells, minlength=n_z * n_x).reshape(n_z, n_x)
 
 
 def build_counts_index(

@@ -1,8 +1,7 @@
 """Table 2 analog — dataset descriptions, ours next to the paper's."""
 from __future__ import annotations
 
-from repro.storage.blocks import BLOCK_COL
-from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, generate
+from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, draw
 
 PAPER_TABLE2 = {
     "flights": {"size": "32 GiB", "tuples": 604_000_000, "attrs": 7, "replications": 5},
@@ -12,18 +11,20 @@ PAPER_TABLE2 = {
 
 
 def rows(*, sf: float) -> list[dict]:
-    """One row per dataset: paper figures + our synthetic analog's."""
+    """One row per dataset: paper figures + our synthetic analog's, from
+    the drawn codes (blocks of ``DEFAULT_TUPLES_PER_BLOCK`` rows, the
+    last possibly partial)."""
     out = []
     for name, paper in PAPER_TABLE2.items():
-        pdf, meta = generate(name, sf=sf)
+        columns, meta = draw(name, sf=sf)
         out.append(
             {
                 "dataset": name.upper(),
                 "paper_tuples": paper["tuples"],
                 "paper_attrs": paper["attrs"],
-                "ours_tuples": len(pdf),
-                "ours_attrs": len(pdf.columns.drop(BLOCK_COL)),
-                "ours_blocks": int(pdf[BLOCK_COL].iloc[-1]) + 1,
+                "ours_tuples": meta.n_rows,
+                "ours_attrs": len(columns),
+                "ours_blocks": -(-meta.n_rows // DEFAULT_TUPLES_PER_BLOCK),
                 "tuples_per_block": DEFAULT_TUPLES_PER_BLOCK,
                 "cardinalities": {
                     c: len(v) for c, v in meta.value_sets.items()

@@ -19,7 +19,8 @@ tuple count as in the paper (see EXPERIMENTS.md for the arithmetic);
 :func:`load_dataset` keeps the vocabulary codes the generator drew, in
 row (= block) order, and builds no Spark relation until one is read;
 :func:`prepare` builds the rest from the codes alone: the replay-mode
-counts index, the bitmap index, and exact ground truth (counts, τ*).
+block store, the bitmap index, and exact ground truth (counts, τ*)
+counted from the store's cells.
 """
 from __future__ import annotations
 
@@ -191,8 +192,9 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
     """Build indexes, ground truth, and the target for one query.
 
     Everything comes from the dataset's codes, with no Spark job: the
-    counts index, the bitmap derived from it, and exact ground truth
-    (tests verify each against independent Spark/DuckDB paths).
+    block store, the bitmap derived from it, and exact ground truth over
+    the store's cells (tests verify each against independent Spark/DuckDB
+    paths).
     """
     if spec.dataset != ds.name:
         raise ValueError(f"query {spec.qid} does not belong to dataset {ds.name}")
@@ -205,7 +207,7 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         x_values=x_values,
         tuples_per_block=ds.tuples_per_block,
     )
-    exact = exact_counts(ds.codes[spec.z], ds.codes[spec.x], len(z_values), len(x_values))
+    exact = exact_counts(idx.cells, len(z_values), len(x_values))
     target, desc = compute_target(spec, z_values, x_values, exact)
     return PreparedQuery(
         spec=spec,

@@ -82,7 +82,7 @@ def test_index_exact_counts_match_spark(fl_index):
     pdf = (
         ds.sdf.groupBy("origin", "day_of_week").count().toPandas()
     )
-    exact = exact_counts(idx.z_idx, idx.x_idx, len(idx.z_values), len(idx.x_values))
+    exact = exact_counts(idx.cells, len(idx.z_values), len(idx.x_values))
     origins = {v: i for i, v in enumerate(idx.z_values)}
     for _, row in pdf.iterrows():
         zi = origins[row["origin"]]
@@ -143,41 +143,38 @@ def _gather_cases(n):
 
 
 def test_index_gather_matches_slices(fl_index, police_small):
-    """``gather`` returns, block after block in request order, the z codes
-    and cells of rows ``[b·tpb, min((b+1)·tpb, n))``: on a store of full
-    blocks and on one whose final block is partial."""
+    """``gather`` returns, as a multiset, the cells of rows
+    ``[b·tpb, min((b+1)·tpb, n))`` of every requested block, once per
+    request: on a store of full blocks and on one whose final block is
+    partial."""
     for idx in (fl_index[1], police_small.counts_index):
         n_rows, tpb = len(idx.cells), idx.tuples_per_block
         for blocks in _gather_cases(idx.n_blocks):
-            z, cells = idx.gather(blocks)
+            cells = idx.gather(blocks)
             rows = [np.arange(b * tpb, min((b + 1) * tpb, n_rows)) for b in blocks]
             rows = np.concatenate([np.arange(0)] + rows)
-            np.testing.assert_array_equal(z, idx.z_idx[rows])
-            np.testing.assert_array_equal(cells, idx.cells[rows])
-            assert z.dtype == cells.dtype == np.int32
-        sizes = [len(idx.gather([b])[1]) for b in range(idx.n_blocks)]
+            np.testing.assert_array_equal(np.sort(cells), np.sort(idx.cells[rows]))
+            assert cells.dtype == np.int32
+        sizes = [len(idx.gather([b])) for b in range(idx.n_blocks)]
         assert sum(sizes) == n_rows and max(sizes) == tpb
 
 
 def test_index_gather_empty(fl_index):
     _, idx = fl_index
-    z, cells = idx.gather([])
-    assert len(z) == len(cells) == 0
+    assert len(idx.gather([])) == 0
 
 
 def _block_rows_vs_duckdb(pq, data):
-    """Every block's rows from ``gather([b])``, decoded from (z, cells),
+    """Every block's rows from ``gather([b])``, decoded from its cells,
     against DuckDB's ``GROUP BY _block_id, z, x`` over ``data``."""
     z, x, idx = pq.spec.z, pq.spec.x, pq.counts_index
     d = len(idx.x_values)
     blocks = [idx.gather([b]) for b in range(idx.n_blocks)]
-    zi = np.concatenate([bz for bz, _ in blocks])
-    cells = np.concatenate([c for _, c in blocks])
-    np.testing.assert_array_equal(cells // d, zi)
+    cells = np.concatenate(blocks)
     got = (
         pd.DataFrame({
-            BLOCK_COL: np.repeat(np.arange(idx.n_blocks), [len(c) for _, c in blocks]),
-            z: np.asarray(idx.z_values)[zi],
+            BLOCK_COL: np.repeat(np.arange(idx.n_blocks), [len(c) for c in blocks]),
+            z: np.asarray(idx.z_values)[cells // d],
             x: np.asarray(idx.x_values)[cells % d],
         })
         .groupby([BLOCK_COL, z, x], as_index=False).size()
@@ -201,7 +198,7 @@ def _block_rows_vs_duckdb(pq, data):
     "qid", sorted(q for q, spec in QUERIES.items() if spec.dataset in ("flights", "taxi"))
 )
 def test_index_blocks_oracle(qid, prepared):
-    """Every block's decoded (z, cells) rows equal DuckDB's ``GROUP BY
+    """Every block's decoded cells equal DuckDB's ``GROUP BY
     _block_id, z, x`` over the Spark relation, so the driver's codes and
     the relation hold the same rows in the same blocks."""
     pq = prepared[qid]

@@ -318,10 +318,13 @@ def test_incremental_matches_full_recompute(case, k_pick):
 
 @pytest.mark.parametrize("case", [0, 1, 2, "taxi-blocks", "taxi-batches"])
 def test_merge_rows_matches_checked_update(case):
-    """The replay merge of int32 rows, ``merge(z, z·|V_X| + x)``, leaves
-    counts, n and every later iteration bit-identical to the checked
-    ``update(z, x, ones)`` on the same rows (the random and TAXI-shaped
-    streams above, each triple expanded into ``cnt`` rows)."""
+    """The replay merge of int32 rows, ``merge(z·|V_X| + x)``, and the
+    checked ``update(z, x, ones)`` on the same rows both leave counts and
+    n equal to a reference built directly from (z, x), and every later
+    iteration equal to a full recompute over that reference.  The rows
+    are the random and TAXI-shaped streams above, each triple expanded
+    into ``cnt`` rows, plus the corner cells (0, 0) and
+    (|V_Z|−1, |V_X|−1) in every batch."""
     if isinstance(case, int):
         rng = np.random.default_rng(case)
         n_cand, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
@@ -333,20 +336,29 @@ def test_merge_rows_matches_checked_update(case):
         stream = taxi_stream(rng, n_cand, d, batch, steps=120 if batch == "blocks" else 6)
     target = rng.integers(0, 3, d).astype(float)
     target[0] = 1.0
-    final = np.zeros(n_cand, dtype=np.int64)
-    for z, _, cnt in stream:
-        np.add.at(final, z, cnt)
+    rows = [
+        (np.concatenate(([0, n_cand - 1], np.repeat(z, cnt))),
+         np.concatenate(([0, d - 1], np.repeat(x, cnt))))
+        for z, x, cnt in stream
+    ]
+    final = np.bincount(np.concatenate([z for z, _ in rows]), minlength=n_cand)
     totals = np.where(rng.random(n_cand) < 1 / 3, final, BIG)  # some end exhausted
-    oracle, st = (HistSimState(n_cand, target, max(1, n_cand // 3), 0.2, 0.05, totals)
-                  for _ in range(2))
-    for z, x, cnt in stream:
-        z, x = np.repeat(z, cnt), np.repeat(x, cnt)
-        oracle.update(z, x, np.ones(len(z), dtype=np.int64))
-        st.merge(z.astype(np.int32), (z * d + x).astype(np.int32))
-        np.testing.assert_array_equal(st.counts, oracle.counts)
-        np.testing.assert_array_equal(st.n, oracle.n)
-        want, got = oracle.iterate(), st.iterate()
-        for name in ("tau", "matching", "eps_i", "delta_i", "n"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.delta_upper == want.delta_upper
-        np.testing.assert_equal(got.split, want.split)
+    k = max(1, n_cand // 3)
+    checked, st = (HistSimState(n_cand, target, k, 0.2, 0.05, totals) for _ in range(2))
+    ref_counts = np.zeros((n_cand, d), dtype=np.int64)
+    ref_n = np.zeros(n_cand, dtype=np.int64)
+    for z, x in rows:
+        checked.update(z, x, np.ones(len(z), dtype=np.int64))
+        st.merge((z * d + x).astype(np.int32))
+        np.add.at(ref_counts, (z, x), 1)
+        ref_n += np.bincount(z, minlength=n_cand)
+        for state in (checked, st):
+            np.testing.assert_array_equal(state.counts, ref_counts)
+            np.testing.assert_array_equal(state.n, ref_n)
+        res = st.iterate()
+        tau, m, eps_i, delta_i, upper = full_recompute(ref_counts, totals, st.qhat, k, 0.2)
+        assert np.array_equal(res.tau, tau)
+        assert np.array_equal(res.matching, m)
+        assert np.array_equal(res.eps_i, eps_i)
+        assert np.array_equal(res.delta_i, delta_i)
+        assert res.delta_upper == upper

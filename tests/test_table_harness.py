@@ -1,6 +1,7 @@
 """The Table 2/3/4 harnesses produce complete, sane rows."""
 import pytest
 
+from repro.storage.blocks import BLOCK_COL
 from repro.tables import table2, table3, table4
 from repro.tables.table4 import (
     PAPER_TABLE4,
@@ -8,6 +9,7 @@ from repro.tables.table4 import (
     format_table,
     run_query_experiment,
 )
+from repro.workloads.datasets import generate
 
 
 def test_paper_reference_numbers_complete():
@@ -20,13 +22,24 @@ def test_paper_reference_numbers_complete():
 
 
 def test_table2_rows():
+    """Tuples, attributes and blocks of each row equal those of
+    ``generate``'s frame: at SF 0.002, and at SF 0.001, where police's
+    final block is partial."""
     rows = table2.rows(sf=0.002)
     assert [r["dataset"] for r in rows] == ["FLIGHTS", "TAXI", "POLICE"]
     for r in rows:
         assert r["ours_tuples"] == 12_000
-        assert r["ours_blocks"] > 0
     txt = table2.format_table(rows)
     assert "FLIGHTS" in txt and "604,000,000" in txt
+    small = table2.rows(sf=0.001)
+    police = small[-1]
+    assert police["ours_tuples"] % police["tuples_per_block"] != 0
+    for sf, rs in ((0.002, rows), (0.001, small)):
+        for r in rs:
+            pdf, _ = generate(r["dataset"].lower(), sf=sf)
+            assert r["ours_tuples"] == len(pdf)
+            assert r["ours_attrs"] == len(pdf.columns.drop(BLOCK_COL))
+            assert r["ours_blocks"] == pdf[BLOCK_COL].iloc[-1] + 1
 
 
 def test_table3_rows():
