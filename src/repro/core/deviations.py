@@ -63,23 +63,6 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def matching_set(tau: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k candidates with smallest τ (Definition 3).
-
-    Ties are broken by candidate index, so the mask is exactly that of
-    ``np.argsort(tau, kind="stable")[:k]`` (for τ without NaN), found in
-    O(|V_Z|): a partition finds the (k+1)-th smallest value, then only the
-    candidates up to it are sorted.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    _check_k(k)
-    if k >= tau.shape[0]:
-        return np.ones(tau.shape[0], dtype=bool)
-    mask = np.zeros(tau.shape[0], dtype=bool)
-    mask[_first(tau, k)[:k]] = True
-    return mask
-
-
 def select_deviations(tau: np.ndarray, k: int, eps: float, nearest=None) -> DeviationChoice:
     """Pick the maximal {ε_i} satisfying the Lemma 2 constraints.
 

@@ -99,7 +99,7 @@ class HistSimState:
         self.delta = float(delta)
         self.totals = totals
         self.counts = np.zeros((n_candidates, self.d), dtype=np.int64)
-        self._n = np.zeros(n_candidates, dtype=np.int64)       # n_i, kept by update
+        self._n = np.zeros(n_candidates, dtype=np.int64)       # n_i, kept by merge
         self._n_seen = np.zeros(n_candidates, dtype=np.int64)  # n_i at the last iterate
         self._tau = np.full(n_candidates, 2.0)                 # τ_i at the last iterate
         # 1.0 while candidate i has unread tuples, 0.0 once n_i = N_i: it is
@@ -122,6 +122,11 @@ class HistSimState:
         Raises ``ValueError``, and merges nothing, if a z or x is out of
         range (the flat index would fold it into a neighbouring cell) or
         a count is negative; then merges with :meth:`merge`.
+
+        The program itself does not call it: both modes' batches arrive as
+        packed cells for :meth:`merge`.  It stays as the checked triple
+        entry the tests use, and because ``perfbench/spans.py`` wraps it by
+        name.
         """
         z = np.asarray(z_idx, dtype=np.intp)
         x = np.asarray(x_idx, dtype=np.intp)
@@ -141,8 +146,10 @@ class HistSimState:
         counts.flat[cells] += cnt and n[cells // |V_X|] += cnt, one add each.
 
         The caller guarantees ``cells = z·|V_X| + x`` with every z and x in
-        range and ``cnt >= 0``: :meth:`update` checks its triples, and the
-        replay block store checked its rows once when it was built.
+        range and ``cnt >= 0``.  Every batch of the round loop meets it:
+        the replay block store checked its rows once when it was built,
+        the spark fetch decodes each value through its vocabulary, and
+        :meth:`update` checks its triples.
         """
         np.add.at(self.counts.reshape(-1), cells, cnt)
         np.add.at(self._n, cells // self.d, cnt)

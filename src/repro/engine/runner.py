@@ -19,22 +19,22 @@ Both pruned variants mark a batch with one call,
 one-block window it makes Algorithm 2's decision, so SyncMatch is
 FastMatch without lookahead, as in the paper.
 
-Two execution modes share this loop:
+Two execution modes share this loop, which picks its fetch once:
 
 * ``mode="spark"`` — each batch's selected blocks are fetched with a
   real Spark filter + ``GROUP BY`` job (the distributed sample+aggregate
-  path);
-* ``mode="replay"`` — each batch is one row take of packed
-  ``z·|V_X| + x`` cells from the fixed-size block store
-  :class:`~repro.storage.blocks.BlockCountsIndex`, merged unchecked by
-  :meth:`~repro.core.histsim.HistSimState.merge` (the store checked its
-  codes once when it was built); identical decisions, identical blocks
-  read (tested), all in driver memory, so a run's wall time is what
-  Table 4 compares with the exact Scan, one count over the same cells.
+  path, :func:`~repro.storage.blocks.spark_gather`);
+* ``mode="replay"`` — each batch is one row take from the fixed-size
+  block store :class:`~repro.storage.blocks.BlockCountsIndex`, all in
+  driver memory, so a run's wall time is what Table 4 compares with the
+  exact Scan, one count over the same cells.
 
-Spark triples go through the checked
-:meth:`~repro.core.histsim.HistSimState.update`, which ends in the same
-merge.
+Both fetches return a batch as the multiset of its rows' packed
+``z·|V_X| + x`` cells, merged unchecked by
+:meth:`~repro.core.histsim.HistSimState.merge` (the store checked its
+codes once when it was built; the spark fetch guards each value it
+decodes), so both modes make identical decisions and read identical
+blocks (tested).
 
 The loop walks blocks sequentially from a (seeded-random) start with
 wraparound — the paper's "linear scan of the shuffled data starting
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from repro.core.distance import l1_distances
 from repro.core.histsim import HistSimState
 # mark_naive is not called here; perfbench/spans.py wraps runner.mark_naive by name.
 from repro.storage.bitmap import mark_lookahead, mark_naive  # noqa: F401
-from repro.storage.blocks import block_counts, encode, exact_counts
+from repro.storage.blocks import exact_counts, spark_gather
 from repro.workloads.queries import PreparedQuery
 
 
@@ -112,18 +113,6 @@ class ScanResult:
     wall: float
 
 
-def _fetch_spark(pq: PreparedQuery, sdf, block_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One distributed sample+aggregate round over the selected blocks,
-    as encoded triples."""
-    z, x = pq.spec.z, pq.spec.x
-    pdf = block_counts(sdf, z, x, block_ids=block_ids).toPandas()
-    return (
-        encode(pdf[z], pq.z_values, z),
-        encode(pdf[x], pq.x_values, x),
-        pdf["cnt"].to_numpy(dtype=np.int64),
-    )
-
-
 def run_variant(
     pq: PreparedQuery,
     variant: str,
@@ -149,7 +138,10 @@ def run_variant(
         start_block = int(np.random.default_rng(seed).integers(0, n_blocks))
     if not 0 <= start_block < n_blocks:
         raise ValueError(f"start_block must be in [0, {n_blocks}), got {start_block}")
-    sdf = pq.ds.sdf if mode == "spark" else None  # a first read builds it: keep that untimed
+    if mode == "spark":  # a first read of sdf builds it: keep that untimed
+        fetch = partial(spark_gather, pq.ds.sdf, pq.spec.z, pq.spec.x, pq.z_values, pq.x_values)
+    else:
+        fetch = pq.counts_index.gather
 
     wall0 = time.perf_counter()
     state = HistSimState(
@@ -182,27 +174,19 @@ def run_variant(
             continue
 
         t0 = time.perf_counter()
-        if mode == "spark":
-            zi, xi, cnt = _fetch_spark(pq, sdf, to_read)
-        else:
-            cells = pq.counts_index.gather(to_read)
+        cells = fetch(to_read)
         res.time_fetch += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if mode == "spark":
-            state.update(zi, xi, cnt)
-        else:
-            state.merge(cells)
+        state.merge(cells)
         state.iterate()
         res.time_stats += time.perf_counter() - t0
         res.n_stat_iters += 1
 
-        res.tuples_read += int(cnt.sum()) if mode == "spark" else len(cells)
+        res.tuples_read += len(cells)
         res.blocks_read += len(to_read)
         terminated = state.terminated(spec.criterion)
 
-    if state.last is None:  # pathological: nothing was ever read
-        state.iterate()
     res.topk_idx = state.topk_indices()
     res.wall = time.perf_counter() - wall0
     if res.blocks_considered == n_blocks:

@@ -50,7 +50,7 @@ def get_spark(app_name: str):
 
     spark = (
         SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

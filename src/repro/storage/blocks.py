@@ -10,9 +10,10 @@ block store (:class:`BlockCountsIndex`): each row is packed once into an
 int32 cell ``z·|V_X| + x``, range-checked once at build time, so reading
 a batch is one row take and merging it needs no conversion or check.
 :func:`exact_counts` counts all the cells in one ``bincount`` (ground
-truth and the exact Scan).  Spark-mode batches run :func:`block_counts`,
-a ``GROUP BY z, x`` over the selected blocks of the Spark relation, and
-:func:`encode` guards the values they return.
+truth and the exact Scan).  Spark-mode batches (:func:`spark_gather`) run
+:func:`block_counts`, a ``GROUP BY z, x`` over the selected blocks of the
+Spark relation, guard the values it returns with :func:`encode` and hand
+back the same packed cells, so both modes' batches merge alike.
 """
 from __future__ import annotations
 
@@ -50,6 +51,23 @@ def block_counts(df: DataFrame, z: str, x: str, block_ids) -> DataFrame:
     """
     df = df.filter(F.col(BLOCK_COL).isin([int(b) for b in block_ids]))
     return df.groupBy(z, x).agg(F.count(F.lit(1)).alias("cnt"))
+
+
+def spark_gather(
+    df: DataFrame, z: str, x: str, z_values: list, x_values: list, block_ids
+) -> np.ndarray:
+    """A spark-mode batch fetch in the block store's format: the int32
+    cells ``z·|V_X| + x`` of the distinct blocks ``block_ids`` as a
+    multiset, from one :func:`block_counts` job.
+
+    Raises ``ValueError`` if a fetched row holds a NULL or a value outside
+    its vocabulary (:func:`encode`).  Each distinct id is read once, as
+    ``isin`` matches it once; the round loop never repeats one.
+    """
+    pdf = block_counts(df, z, x, block_ids).toPandas()
+    cells = encode(pdf[z], z_values, z) * np.int32(len(x_values))
+    cells += encode(pdf[x], x_values, x)
+    return np.repeat(cells, pdf["cnt"].to_numpy())
 
 
 @dataclass
@@ -100,7 +118,9 @@ class BlockCountsIndex:
         """The cells of many blocks' rows as a multiset (a replay-mode batch
         fetch): one row take of the full blocks, followed by the partial
         final block once for each time it is requested.  Merging is an
-        ``add``, so row order changes no count."""
+        ``add``, so row order changes no count.  On distinct ids it
+        returns what :func:`spark_gather` returns; the round loop never
+        repeats an id."""
         ids = np.asarray(block_ids, dtype=np.intp)
         n_tail = np.count_nonzero(ids == len(self._rows)) if len(self._tail) else 0
         if not n_tail:

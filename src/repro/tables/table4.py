@@ -75,10 +75,10 @@ def run_query_experiment(
 ) -> QueryExperiment:
     """Measure Scan, then run each variant ``n_runs`` times.
 
-    Scan is measured twice and the faster run is kept, so a cold first
-    pass over the codes does not flatter the variants.
+    The Scan is measured ten times and the fastest run is kept, so a cold
+    pass or a stall of the machine does not flatter the variants.
     """
-    scan_seconds = min(run_scan(pq).wall for _ in range(2))
+    scan_seconds = min(run_scan(pq).wall for _ in range(10))
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, pq.ds.n_blocks, size=n_runs)
     summaries: dict[str, VariantSummary] = {}

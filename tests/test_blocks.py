@@ -11,6 +11,7 @@ from repro.storage.blocks import (
     build_counts_index,
     encode,
     exact_counts,
+    spark_gather,
 )
 from repro.workloads import datasets as wd
 from repro.workloads.queries import QUERIES, load_dataset, prepare
@@ -69,12 +70,15 @@ def fl_index(datasets):
 
 
 @pytest.fixture(scope="module")
-def police_small():
-    """police-q1 at SF 0.001: 6,000 rows in 188 blocks, the last of 16 rows."""
+def police_small(spark):
+    """police-q1 at SF 0.001: 6,000 rows in 188 blocks, the last of 16 rows.
+    Its Spark relation is built only if a test reads it."""
     spec = QUERIES["police-q1"]
-    pq = prepare(load_dataset(None, "police", sf=0.001), spec)
+    pq = prepare(load_dataset(spark, "police", sf=0.001), spec)
     assert pq.ds.n_blocks == 188 and pq.ds.n_rows - 187 * pq.ds.tuples_per_block == 16
-    return pq
+    yield pq
+    if "sdf" in vars(pq.ds):
+        pq.ds.sdf.unpersist()
 
 
 def test_index_exact_counts_match_spark(fl_index):
@@ -162,6 +166,20 @@ def test_index_gather_matches_slices(fl_index, police_small):
 def test_index_gather_empty(fl_index):
     _, idx = fl_index
     assert len(idx.gather([])) == 0
+
+
+def test_spark_gather_equals_store_gather(police_small):
+    """A spark-mode batch is the store's batch: ``spark_gather`` over the
+    relation returns, as a multiset, the int32 cells ``gather`` returns
+    for the same distinct blocks, the partial final block among them."""
+    pq = police_small
+    idx, sdf = pq.counts_index, pq.ds.sdf
+    distinct = [b for b in _gather_cases(idx.n_blocks) if len(np.unique(b)) == len(b)]
+    assert len(distinct) == 7
+    for blocks in distinct:
+        cells = spark_gather(sdf, pq.spec.z, pq.spec.x, idx.z_values, idx.x_values, blocks)
+        assert cells.dtype == np.int32
+        np.testing.assert_array_equal(np.sort(cells), np.sort(idx.gather(blocks)))
 
 
 def _block_rows_vs_duckdb(pq, data):

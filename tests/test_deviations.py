@@ -3,20 +3,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.deviations import (
-    constraints_satisfied,
-    matching_set,
-    select_deviations,
-)
+from repro.core.deviations import constraints_satisfied, select_deviations
 
 
 def test_matching_set_basic():
-    m = matching_set(np.array([0.5, 0.1, 0.3, 0.9]), 2)
+    m = select_deviations(np.array([0.5, 0.1, 0.3, 0.9]), 2, 0.1).matching
     assert list(np.flatnonzero(m)) == [1, 2]
 
 
 def test_matching_set_ties_stable():
-    m = matching_set(np.array([0.2, 0.2, 0.2, 0.2]), 2)
+    m = select_deviations(np.array([0.2, 0.2, 0.2, 0.2]), 2, 0.1).matching
     assert list(np.flatnonzero(m)) == [0, 1]
 
 
@@ -30,12 +26,12 @@ def test_matching_set_equals_stable_argsort_on_ties(seed):
     for k in range(1, n + 1):
         want = np.zeros(n, dtype=bool)
         want[order[:k]] = True
-        np.testing.assert_array_equal(matching_set(tau, k), want)
+        np.testing.assert_array_equal(select_deviations(tau, k, 0.1).matching, want)
 
 
 def test_matching_set_bad_k():
-    with pytest.raises(ValueError):
-        matching_set(np.array([0.1]), 0)
+    with pytest.raises(ValueError, match="k must be"):
+        select_deviations(np.array([0.1]), 0, 0.1)
 
 
 def test_split_point_is_midpoint():
