@@ -25,18 +25,25 @@ import numpy as np
 class DeviationChoice:
     """The outcome of one §3.3 selection.
 
-    ``matching`` is a boolean mask over candidates (True = in M),
-    ``eps`` the chosen per-candidate deviations, ``split`` the split
+    ``eps`` holds the chosen per-candidate deviations, ``split`` the split
     point s (``nan`` when constraint 1 is vacuous).  ``nearest`` holds the
     indices of M and of the runner-up, the (k+1)-th candidate in (τ,
     index) order (``None`` when M is every candidate); passed back in on
     the next iteration, it narrows that iteration's search for M.
     """
 
-    matching: np.ndarray
     eps: np.ndarray
     split: float
     nearest: np.ndarray | None = None
+
+    @property
+    def matching(self) -> np.ndarray:
+        """Boolean mask over candidates (True = in M), built when read."""
+        if self.nearest is None:
+            return np.ones(len(self.eps), dtype=bool)
+        mask = np.zeros(len(self.eps), dtype=bool)
+        mask[self.nearest[:-1]] = True
+        return mask
 
 
 def _first(tau: np.ndarray, k: int, nearest=None) -> np.ndarray:
@@ -81,18 +88,13 @@ def select_deviations(tau: np.ndarray, k: int, eps: float, nearest=None) -> Devi
     n_cand = tau.shape[0]
     if k >= n_cand:
         # k >= number of candidates: separation is vacuous.
-        return DeviationChoice(
-            matching=np.ones(n_cand, dtype=bool), eps=np.full(n_cand, float(eps)),
-            split=float("nan"),
-        )
+        return DeviationChoice(eps=np.full(n_cand, float(eps)), split=float("nan"))
     first = _first(tau, k, nearest)
     m, tau_first = first[:k], tau[first]
     s = (tau_first[k - 1] + tau_first[k]) / 2.0
     out = tau - max(s - eps / 2.0, 0.0)
     out[m] = np.minimum(eps, s + eps / 2.0 - tau_first[:k])
-    mask = np.zeros(n_cand, dtype=bool)
-    mask[m] = True
-    return DeviationChoice(matching=mask, eps=out, split=float(s), nearest=first)
+    return DeviationChoice(eps=out, split=float(s), nearest=first)
 
 
 def constraints_satisfied(

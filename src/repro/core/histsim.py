@@ -2,7 +2,7 @@
 
 The runner (``repro.engine.runner``) feeds sampled (candidate, bin)
 counts into a :class:`HistSimState`; each call to :meth:`iterate`
-performs one iteration of Algorithm 1's lines 8–14:
+performs one iteration of Algorithm 1's lines 8–14, in place on the state:
 
 1. recompute distance estimates τ_i from the counts matrix;
 2. recompute the matching set M (k smallest τ);
@@ -17,7 +17,9 @@ performs one iteration of Algorithm 1's lines 8–14:
 Termination: HistSim/ScanMatch/SyncMatch/FastMatch stop when
 δ^upper ≤ δ; SlowMatch (§5.2) stops only when max_i δ_i ≤ δ/|V_Z|.
 The *active* candidates of the AnyActive policy are those with
-δ_i > δ/|V_Z|.
+δ_i > δ/|V_Z|.  Before any data the state holds Theorem 1 at n_i = 0
+(τ_i = 2, δ_i = 1, δ^upper = |V_Z|): every candidate active, no
+termination.
 
 Each iteration costs what its batch changed plus a few passes over the
 |V_Z| candidates, with no full-size mask copies:
@@ -29,7 +31,8 @@ Each iteration costs what its batch changed plus a few passes over the
   the whole counts matrix rather than a copy of the moved rows;
 * M, its runner-up and the split point s come from sorting only the
   candidates whose τ is at most the largest current τ of the last M and
-  runner-up (a partition over all candidates when those are many);
+  runner-up (a partition over all candidates when those are many), and
+  :meth:`~HistSimState.topk_indices` reads M from that same search;
 * ε_i is one pass over all candidates plus a k-entry fix-up for M, and
   δ_i is Theorem 1 evaluated in one buffer, then multiplied by a held
   0/1 factor that is 0 for exhausted candidates and is updated only at
@@ -45,26 +48,11 @@ over half of :meth:`HistSimState.iterate`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.core.bounds import delta_bound
 from repro.core.deviations import select_deviations
 from repro.core.distance import l1_distances, normalize_target
-
-
-@dataclass
-class IterationResult:
-    """Snapshot of one Algorithm 1 iteration (lines 8–14)."""
-
-    tau: np.ndarray          # distance estimates τ_i
-    matching: np.ndarray     # boolean mask of M
-    eps_i: np.ndarray        # chosen deviations ε_i
-    delta_i: np.ndarray      # per-candidate failure bounds δ_i
-    delta_upper: float       # Σ δ_i
-    split: float             # split point s (nan if vacuous)
-    n: np.ndarray = field(repr=False, default=None)  # samples per candidate
 
 
 class HistSimState:
@@ -77,6 +65,12 @@ class HistSimState:
     k, eps, delta : the user parameters of Problem 1.
     totals : length-|V_Z| tuple counts N_i of the full data; candidate i
         is exhausted once n_i = N_i.
+
+    Each :meth:`iterate` overwrites the current iteration's statistics:
+    ``tau`` (τ_i, updated in place at the rows whose n_i moved),
+    ``choice`` (the :class:`~repro.core.deviations.DeviationChoice`: M
+    and runner-up, ε_i and s; ``None`` before the first iterate),
+    ``delta_i`` and ``delta_upper`` (Σδ_i).
     """
 
     def __init__(self, n_candidates: int, target, k: int, eps: float, delta: float, totals):
@@ -101,13 +95,15 @@ class HistSimState:
         self.counts = np.zeros((n_candidates, self.d), dtype=np.int64)
         self._n = np.zeros(n_candidates, dtype=np.int64)       # n_i, kept by merge
         self._n_seen = np.zeros(n_candidates, dtype=np.int64)  # n_i at the last iterate
-        self._tau = np.full(n_candidates, 2.0)                 # τ_i at the last iterate
         # 1.0 while candidate i has unread tuples, 0.0 once n_i = N_i: it is
         # exact, so δ_i = 0.  Kept at the rows an iterate sees change.
         self._live = (totals != 0).astype(np.float64)
-        self._nearest = None  # M and runner-up of the last iterate
+        # Theorem 1 at n_i = 0, until the first iterate.
+        self.tau = np.full(n_candidates, 2.0)
+        self.choice = None
+        self.delta_i = np.ones(n_candidates)
+        self.delta_upper = float(n_candidates)
         self.n_iterations = 0
-        self.last: IterationResult | None = None
 
     # -- sample ingestion ---------------------------------------------------
 
@@ -156,8 +152,9 @@ class HistSimState:
 
     # -- one iteration of Algorithm 1 --------------------------------------
 
-    def iterate(self) -> IterationResult:
-        """Lines 8–14 of Algorithm 1; returns (and stores) the snapshot.
+    def iterate(self) -> None:
+        """Lines 8–14 of Algorithm 1, leaving τ, the choice, δ_i and
+        δ^upper on the state.
 
         τ_i is recomputed only where n_i changed since the last call (or
         for every row, when most changed): counts only grow, so an
@@ -171,58 +168,46 @@ class HistSimState:
             # the counts matrix itself.  An unmoved row gets the same bits
             # again, and copying then scattering most rows costs more.
             changed = slice(None)
-            self._tau = l1_distances(self.counts, self.qhat)
+            self.tau = l1_distances(self.counts, self.qhat)
         else:
             changed = np.flatnonzero(moved)
             if n_moved:
-                self._tau[changed] = l1_distances(self.counts[changed], self.qhat)
+                self.tau[changed] = l1_distances(self.counts[changed], self.qhat)
         n_changed = n[changed]
         self._n_seen[changed] = n_changed
         self._live[changed] = n_changed != self.totals[changed]
-        tau = self._tau
-        choice = select_deviations(tau, self.k, self.eps, self._nearest)
-        self._nearest = choice.nearest
-        delta_i = delta_bound(n, choice.eps, self.d)
-        delta_i *= self._live
-        res = IterationResult(
-            tau=tau.copy(),
-            matching=choice.matching,
-            eps_i=choice.eps,
-            delta_i=delta_i,
-            delta_upper=float(delta_i.sum()),
-            split=choice.split,
-            n=n.copy(),
-        )
+        nearest = None if self.choice is None else self.choice.nearest
+        self.choice = select_deviations(self.tau, self.k, self.eps, nearest)
+        self.delta_i = delta_bound(n, self.choice.eps, self.d)
+        self.delta_i *= self._live
+        self.delta_upper = float(self.delta_i.sum())
         self.n_iterations += 1
-        self.last = res
-        return res
 
     # -- termination & activity --------------------------------------------
 
     def terminated(self, criterion: str = "histsim") -> bool:
-        """Safe-termination test on the most recent iteration.
+        """Safe-termination test on the current statistics.
 
         ``histsim``: δ^upper = Σδ_i ≤ δ (the paper's criterion).
         ``slowmatch``: max_i δ_i ≤ δ/|V_Z| (the naive per-candidate
         criterion of the SlowMatch baseline).
         """
-        if self.last is None:
-            return False
         if criterion == "histsim":
-            return self.last.delta_upper <= self.delta
+            return self.delta_upper <= self.delta
         if criterion == "slowmatch":
-            return float(self.last.delta_i.max()) <= self.delta / self.n_candidates
+            return float(self.delta_i.max()) <= self.delta / self.n_candidates
         raise ValueError(f"unknown termination criterion: {criterion}")
 
     def active(self) -> np.ndarray:
         """AnyActive's active mask: δ_i > δ/|V_Z| (all active before data)."""
-        if self.last is None:
-            return np.ones(self.n_candidates, dtype=bool)
-        return self.last.delta_i > self.delta / self.n_candidates
+        return self.delta_i > self.delta / self.n_candidates
 
     def topk_indices(self) -> np.ndarray:
-        """Current matching set M as indices, ordered by (τ, index)."""
-        if self.last is None:
+        """Current matching set M as indices, ordered by (τ, index): the
+        first k of the last choice's M and runner-up, or a stable argsort
+        of τ when M is every candidate."""
+        if self.choice is None:
             raise RuntimeError("iterate() must run before topk_indices()")
-        order = np.argsort(self.last.tau, kind="stable")
-        return order[: self.k]
+        if self.choice.nearest is None:
+            return np.argsort(self.tau, kind="stable")[: self.k]
+        return self.choice.nearest[: self.k]

@@ -193,9 +193,9 @@ def run_variant(
         res.stop_reason = "exhausted"
     else:
         res.stop_reason = "max_delta" if spec.criterion == "slowmatch" else "sum_delta"
-    res.tau_est = state.last.tau
+    res.tau_est = state.tau
     res.est_counts = state.counts
-    res.delta_upper = state.last.delta_upper
+    res.delta_upper = state.delta_upper
     return res
 
 

@@ -47,6 +47,7 @@ def test_initial_state():
     st = make_state()
     assert st.n.sum() == 0
     assert not st.terminated()
+    assert not st.terminated("slowmatch")
     assert st.active().all()
     with pytest.raises(RuntimeError):
         st.topk_indices()
@@ -84,41 +85,41 @@ def test_update_rejects_out_of_range(z, x, cnt):
 def test_iterate_known_small_case():
     st = make_state(n_cand=3, d=2, k=1, eps=0.2, target=[1, 1])
     st.update([0, 0, 1, 1, 2], [0, 1, 0, 0, 0], [10, 10, 20, 0, 4])
-    res = st.iterate()
-    np.testing.assert_allclose(res.tau, [0.0, 1.0, 1.0])
-    assert list(np.flatnonzero(res.matching)) == [0]
-    assert res.split == pytest.approx(0.5)
+    st.iterate()
+    np.testing.assert_allclose(st.tau, [0.0, 1.0, 1.0])
+    assert list(np.flatnonzero(st.choice.matching)) == [0]
+    assert st.choice.split == pytest.approx(0.5)
     # δ_i from Theorem 1 with the chosen ε_i
     np.testing.assert_allclose(
-        res.delta_i, delta_bound(res.n, np.maximum(res.eps_i, 0), 2)
+        st.delta_i, delta_bound(st.n, np.maximum(st.choice.eps, 0), 2)
     )
-    assert res.delta_upper == pytest.approx(res.delta_i.sum())
+    assert st.delta_upper == pytest.approx(st.delta_i.sum())
 
 
 def test_unsampled_candidate_has_delta_one_and_tau_two():
     st = make_state(n_cand=3, d=2, k=1, target=[1, 1])
     st.update([0], [0], [50])
-    res = st.iterate()
-    assert res.tau[1] == 2.0 and res.tau[2] == 2.0
-    assert res.delta_i[1] == 1.0 and res.delta_i[2] == 1.0
+    st.iterate()
+    assert st.tau[1] == 2.0 and st.tau[2] == 2.0
+    assert st.delta_i[1] == 1.0 and st.delta_i[2] == 1.0
 
 
 def test_exhausted_candidate_has_delta_zero():
     """Candidates 0 and 1 hold the same samples; only 1 has n_i = N_i."""
     st = make_state(n_cand=3, d=2, k=1, target=[1, 1], totals=[100, 5, 100])
     st.update([0, 1, 2], [0, 0, 1], [5, 5, 5])
-    res = st.iterate()
-    assert res.delta_i[1] == 0.0
-    assert res.delta_i[0] > 0 and res.delta_i[2] > 0
+    st.iterate()
+    assert st.delta_i[1] == 0.0
+    assert st.delta_i[0] > 0 and st.delta_i[2] > 0
 
 
 def test_absent_candidate_has_delta_zero_at_first_iterate():
     """A value with no tuples (N_i = 0) is exact before any of it is read."""
     st = make_state(n_cand=3, d=2, k=1, target=[1, 1], totals=[100, 0, 100])
     st.update([0, 2], [0, 1], [5, 5])
-    res = st.iterate()
-    assert res.delta_i[1] == 0.0
-    assert res.delta_i[0] > 0 and res.delta_i[2] > 0
+    st.iterate()
+    assert st.delta_i[1] == 0.0
+    assert st.delta_i[0] > 0 and st.delta_i[2] > 0
 
 
 def test_termination_criteria_difference():
@@ -133,9 +134,9 @@ def test_termination_criteria_difference():
     st = make_state(n_cand=4, d=2, k=1, eps=0.5, delta=0.01, target=[1, 0])
     st.update([0], [0], [49])
     st.update([1, 2, 3], [1, 1, 1], [16, 16, 16])
-    res = st.iterate()
-    assert res.delta_upper <= 0.01
-    assert res.delta_i.max() > 0.01 / 4
+    st.iterate()
+    assert st.delta_upper <= 0.01
+    assert st.delta_i.max() > 0.01 / 4
     assert st.terminated("histsim")
     assert not st.terminated("slowmatch")
 
@@ -151,9 +152,9 @@ def test_bad_criterion():
 def test_active_mask_threshold():
     st = make_state(n_cand=3, d=2, k=1, eps=0.4, delta=0.3, target=[1, 1])
     st.update([0, 1, 2], [0, 0, 0], [200_000, 200_000, 3])
-    res = st.iterate()
+    st.iterate()
     active = st.active()
-    np.testing.assert_array_equal(active, res.delta_i > 0.3 / 3)
+    np.testing.assert_array_equal(active, st.delta_i > 0.3 / 3)
     assert active[2]  # 3 samples cannot settle anything
 
 
@@ -262,8 +263,8 @@ def taxi_stream(rng, n_cand, d, batch, steps):
 @pytest.mark.parametrize("case", [*range(8), "taxi-blocks", "taxi-batches"])
 @pytest.mark.parametrize("k_pick", ["one", "mid", "all"])
 def test_incremental_matches_full_recompute(case, k_pick):
-    """Every iteration's τ, M, ε_i, δ_i and δ^upper equal a from-scratch
-    recompute exactly, and no snapshot changes after a later iteration.
+    """Every iteration's τ, M, ε_i, δ_i, δ^upper and top-k equal a
+    from-scratch recompute exactly.
 
     Integer cases draw small random streams; the TAXI cases run 3,072
     candidates × 24 bins with tie-heavy τ, in one-block batches (few rows
@@ -293,27 +294,19 @@ def test_incremental_matches_full_recompute(case, k_pick):
     totals = np.where(exhaust, final.sum(axis=1), BIG)
     st = HistSimState(n_cand, target, k, 0.2, 0.05, totals)
     counts = np.zeros((n_cand, d), dtype=np.int64)
-    prev = prev_copy = None
     for z, x, cnt in stream:
         st.update(z, x, cnt)
         np.add.at(counts, (z, x), cnt)
-        res = st.iterate()
+        st.iterate()
         tau, m, eps_i, delta_i, upper = full_recompute(counts, totals, st.qhat, k, 0.2)
         np.testing.assert_array_equal(st.counts, counts)
-        assert np.array_equal(res.tau, tau)
-        assert np.array_equal(res.matching, m)
-        assert np.array_equal(res.eps_i, eps_i)
-        assert np.array_equal(res.delta_i, delta_i)
-        assert res.delta_upper == upper
-        assert np.array_equal(res.n, counts.sum(axis=1))
-        if prev is not None:
-            for name, value in prev_copy.items():
-                assert np.array_equal(getattr(prev, name), value), name
-        prev = res
-        prev_copy = {
-            name: getattr(res, name).copy()
-            for name in ("tau", "matching", "eps_i", "delta_i", "n")
-        }
+        assert np.array_equal(st.tau, tau)
+        assert np.array_equal(st.choice.matching, m)
+        assert np.array_equal(st.choice.eps, eps_i)
+        assert np.array_equal(st.delta_i, delta_i)
+        assert st.delta_upper == upper
+        assert np.array_equal(st.n, counts.sum(axis=1))
+        assert np.array_equal(st.topk_indices(), np.argsort(tau, kind="stable")[:k])
 
 
 @pytest.mark.parametrize("case", [0, 1, 2, "taxi-blocks", "taxi-batches"])
@@ -355,10 +348,10 @@ def test_merge_rows_matches_checked_update(case):
         for state in (checked, st):
             np.testing.assert_array_equal(state.counts, ref_counts)
             np.testing.assert_array_equal(state.n, ref_n)
-        res = st.iterate()
+        st.iterate()
         tau, m, eps_i, delta_i, upper = full_recompute(ref_counts, totals, st.qhat, k, 0.2)
-        assert np.array_equal(res.tau, tau)
-        assert np.array_equal(res.matching, m)
-        assert np.array_equal(res.eps_i, eps_i)
-        assert np.array_equal(res.delta_i, delta_i)
-        assert res.delta_upper == upper
+        assert np.array_equal(st.tau, tau)
+        assert np.array_equal(st.choice.matching, m)
+        assert np.array_equal(st.choice.eps, eps_i)
+        assert np.array_equal(st.delta_i, delta_i)
+        assert st.delta_upper == upper

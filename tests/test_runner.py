@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.distance import normalize_target
 from repro.engine.runner import APPROX_VARIANTS, run_scan, run_variant
 from repro.storage.blocks import BLOCK_COL
 from repro.tables.metrics import (
@@ -13,6 +14,7 @@ from repro.tables.metrics import (
     guarantee2_satisfied,
 )
 from repro.workloads.queries import QUERIES, load_dataset, prepare
+from tests.test_histsim import full_recompute
 
 VARIANTS = sorted(APPROX_VARIANTS)
 
@@ -98,6 +100,35 @@ def test_full_read_is_exact(variant, flights_pq):
     np.testing.assert_array_equal(
         np.sort(r.topk_idx), np.sort(flights_pq.true_topk())
     )
+
+
+@pytest.fixture(scope="module")
+def police_q1_sf0001():
+    """police-q1 at SF 0.001: 188 blocks, the last one holding 16 rows."""
+    return prepare(load_dataset(None, "police", sf=0.001), QUERIES["police-q1"])
+
+
+@pytest.mark.parametrize("start", ["first", "last"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("pq_name", ["police_q1_sf0001", "flights_pq"])
+def test_final_statistics_equal_recompute(pq_name, variant, start, request):
+    """A run's final τ, top-k and δ^upper equal a from-scratch recompute
+    over its own final counts, bit for bit.  δ^upper is 0 once every
+    tuple is read, which an unpruned run that considered every block has
+    done; a pruned one may have skipped blocks of settled candidates."""
+    pq = request.getfixturevalue(pq_name)
+    start_block = 0 if start == "first" else pq.ds.n_blocks - 1
+    r = run_variant(pq, variant, start_block=start_block)
+    tau, *_, upper = full_recompute(
+        r.est_counts, pq.exact_counts.sum(axis=1), normalize_target(pq.target), pq.spec.k, r.eps
+    )
+    assert np.array_equal(r.tau_est, tau)
+    assert np.array_equal(r.topk_idx, np.argsort(tau, kind="stable")[: pq.spec.k])
+    assert r.delta_upper == upper
+    if r.stop_reason == "exhausted" and not APPROX_VARIANTS[variant].prune:
+        assert r.tuples_read == pq.ds.n_rows
+    if r.tuples_read == pq.ds.n_rows:
+        assert r.delta_upper == 0.0
 
 
 def test_slowmatch_needs_at_least_scanmatch_samples(flights_pq):
