@@ -52,13 +52,15 @@ def normalize_target(target: Sequence[float] | np.ndarray) -> np.ndarray:
     return q / s
 
 
-def l1_distances(counts: np.ndarray, target: Sequence[float]) -> np.ndarray:
+def l1_distances(counts: np.ndarray, target: Sequence[float], n=None) -> np.ndarray:
     """τ_i = ||r̂_i − Q̂||₁ = Σ_x |c_ix − n_i·Q̂_x| / n_i for every row i.
 
     Rows with zero samples get the maximum possible ℓ₁ distance between
     distributions, 2.0 — i.e. "we know nothing" (matches HistSim's
     treatment of unsampled candidates).  Integer counts stay integer
-    until the one subtraction converts them.
+    until the one subtraction converts them.  ``n``, if given, must be
+    the row totals n_i of ``counts`` (HistSim already holds them); they
+    are summed here otherwise, with the same result.
     """
     counts = np.atleast_2d(np.asarray(counts))
     q = normalize_target(target)
@@ -66,7 +68,9 @@ def l1_distances(counts: np.ndarray, target: Sequence[float]) -> np.ndarray:
         raise ValueError(
             f"counts have {counts.shape[-1]} bins but target has {q.shape[0]}"
         )
-    n = np.einsum("ij->i", counts).astype(np.float64)
+    if n is None:
+        n = np.einsum("ij->i", counts)
+    n = np.array(n, dtype=np.float64)  # a copy: empty rows' n is set to 1 below
     # The products of np.multiply.outer, at a third of its cost (it calls
     # its inner loop once per row).
     buf = np.einsum("i,j->ij", n, q)

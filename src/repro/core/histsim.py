@@ -24,11 +24,23 @@ termination.
 Each iteration costs what its batch changed plus a few passes over the
 |V_Z| candidates, with no full-size mask copies:
 
-* τ_i is recomputed, by the one fused kernel of :mod:`repro.core.distance`,
-  only for the candidates whose n_i moved since the last iteration (a
-  one-block SyncMatch batch touches at most ``tuples_per_block`` of
-  them); when most n_i moved, as in a lookahead batch, the kernel reads
-  the whole counts matrix rather than a copy of the moved rows;
+* :meth:`~HistSimState.merge` owns the counts grid: one add per sampled
+  cell.  It keeps n_i as well only for a batch of at most |V_Z|/2 cells
+  (a one-block SyncMatch batch), which can move at most half the rows,
+  so the next iterate can find the moved rows by comparing n_i with its
+  last-seen copy.  A larger batch (a lookahead batch) moves most rows
+  anyway, and a second add per cell into n_i costs as much as the add
+  into the grid: for 16k cells into FLIGHTS' 161 × 24, 31 µs plus 5 µs
+  for ``cells // |V_X|``, against 32 µs, where one integer row sum of
+  the grid costs 3 µs (24 µs at TAXI's 3,072 × 24; 4-core Xeon VM).  So
+  it marks n_i stale, and the next iterate re-derives n_i as that row
+  sum and treats every row as moved;
+* τ_i is recomputed, by the one fused kernel of :mod:`repro.core.distance`
+  handed the n_i the state holds, only for the candidates whose n_i
+  moved since the last iteration (a one-block SyncMatch batch touches at
+  most ``tuples_per_block`` of them); after a large merge, or when most
+  n_i moved, the kernel reads the whole counts matrix rather than a copy
+  of the moved rows;
 * M, its runner-up and the split point s come from sorting only the
   candidates whose τ is at most the largest current τ of the last M and
   runner-up (a partition over all candidates when those are many), and
@@ -93,7 +105,10 @@ class HistSimState:
         self.delta = float(delta)
         self.totals = totals
         self.counts = np.zeros((n_candidates, self.d), dtype=np.int64)
-        self._n = np.zeros(n_candidates, dtype=np.int64)       # n_i, kept by merge
+        # n_i, kept by small merges; a large one leaves it stale until the
+        # next iterate re-derives it from counts.
+        self._n = np.zeros(n_candidates, dtype=np.int64)
+        self._n_stale = False
         self._n_seen = np.zeros(n_candidates, dtype=np.int64)  # n_i at the last iterate
         # 1.0 while candidate i has unread tuples, 0.0 once n_i = N_i: it is
         # exact, so δ_i = 0.  Kept at the rows an iterate sees change.
@@ -109,8 +124,9 @@ class HistSimState:
 
     @property
     def n(self) -> np.ndarray:
-        """Samples taken per candidate (n_i)."""
-        return self._n.copy()
+        """Samples taken per candidate (n_i): the row sums of ``counts``,
+        so also correct between a merge and the next iterate."""
+        return np.einsum("ij->i", self.counts)
 
     def update(self, z_idx, x_idx, cnt) -> None:
         """Merge aggregated samples: counts[z, x] += cnt (vectorized).
@@ -139,7 +155,13 @@ class HistSimState:
 
     def merge(self, cells, cnt=1) -> None:
         """The statistics engine's r_i ← r_i + r_i^partial merge, unchecked:
-        counts.flat[cells] += cnt and n[cells // |V_X|] += cnt, one add each.
+        counts.flat[cells] += cnt, one add per cell.
+
+        A batch of at most |V_Z|/2 cells (a SyncMatch block) also adds
+        into n_i, so that the next iterate recomputes τ only for the rows
+        it moved.  A larger one (a lookahead batch) moves most rows
+        anyway: it marks n_i stale, and the next iterate takes n_i as the
+        row sums of ``counts`` and recomputes every row.
 
         The caller guarantees ``cells = z·|V_X| + x`` with every z and x in
         range and ``cnt >= 0``.  Every batch of the round loop meets it:
@@ -148,7 +170,10 @@ class HistSimState:
         :meth:`update` checks its triples.
         """
         np.add.at(self.counts.reshape(-1), cells, cnt)
-        np.add.at(self._n, cells // self.d, cnt)
+        if 2 * len(cells) > self.n_candidates:
+            self._n_stale = True
+        elif not self._n_stale:
+            np.add.at(self._n, cells // self.d, cnt)
 
     # -- one iteration of Algorithm 1 --------------------------------------
 
@@ -157,22 +182,29 @@ class HistSimState:
         δ^upper on the state.
 
         τ_i is recomputed only where n_i changed since the last call (or
-        for every row, when most changed): counts only grow, so an
-        unchanged n_i means an unchanged row.
+        for every row, after a large merge or when most changed): counts
+        only grow, so an unchanged n_i means an unchanged row.
         """
+        if self._n_stale:
+            np.einsum("ij->i", self.counts, out=self._n)
+            self._n_stale = False
+            full = True
+        else:
+            moved = self._n != self._n_seen
+            n_moved = np.count_nonzero(moved)
+            full = 2 * n_moved > self.n_candidates
         n = self._n
-        moved = n != self._n_seen
-        n_moved = np.count_nonzero(moved)
-        if 2 * n_moved > self.n_candidates:
-            # Most rows moved (a lookahead batch): recompute every row from
-            # the counts matrix itself.  An unmoved row gets the same bits
-            # again, and copying then scattering most rows costs more.
+        if full:
+            # Most rows moved (a large merge, or many small ones): recompute
+            # every row from the counts matrix itself.  An unmoved row gets
+            # the same bits again, and copying then scattering most rows
+            # costs more.
             changed = slice(None)
-            self.tau = l1_distances(self.counts, self.qhat)
+            self.tau = l1_distances(self.counts, self.qhat, n)
         else:
             changed = np.flatnonzero(moved)
             if n_moved:
-                self.tau[changed] = l1_distances(self.counts[changed], self.qhat)
+                self.tau[changed] = l1_distances(self.counts[changed], self.qhat, n[changed])
         n_changed = n[changed]
         self._n_seen[changed] = n_changed
         self._live[changed] = n_changed != self.totals[changed]

@@ -41,9 +41,13 @@ wraparound — the paper's "linear scan of the shuffled data starting
 from any point".  A candidate whose every tuple has been read (n_i = N_i)
 is exhausted (its histogram is exact → δ_i = 0), which is how a run that
 ends up reading everything terminates with the exact answer.  Each run
-records why it stopped: ``"sum_delta"`` (Σ δ_i ≤ δ), ``"max_delta"``
-(SlowMatch's max δ_i ≤ δ/|V_Z|) or ``"exhausted"`` (every block
-considered).
+records why it stopped: ``"exhausted"`` (every tuple read: the answer is
+exact and δ^upper = 0), else its criterion, ``"sum_delta"`` (Σ δ_i ≤ δ)
+or ``"max_delta"`` (SlowMatch's max δ_i ≤ δ/|V_Z|).  A pruned run can
+meet its criterion on its last batch, having skipped the blocks of
+settled candidates; it reports the criterion.  If a pruned run considers
+every block without meeting it (a candidate became active again after
+its blocks were skipped), it reports ``"unmet"``.
 """
 from __future__ import annotations
 
@@ -91,7 +95,7 @@ class RunResult:
     tau_est: np.ndarray            # final distance estimates τ_i
     est_counts: np.ndarray = field(repr=False, default=None)  # final r_i
     delta_upper: float = float("nan")
-    stop_reason: str = ""          # "sum_delta" | "max_delta" | "exhausted"
+    stop_reason: str = ""          # "exhausted" | "sum_delta" | "max_delta" | "unmet"
     tuples_read: int = 0
     blocks_read: int = 0
     blocks_considered: int = 0
@@ -144,9 +148,7 @@ def run_variant(
         fetch = pq.counts_index.gather
 
     wall0 = time.perf_counter()
-    state = HistSimState(
-        pq.n_candidates, pq.target, pq.spec.k, eps, delta, pq.exact_counts.sum(axis=1)
-    )
+    state = HistSimState(pq.n_candidates, pq.target, pq.spec.k, eps, delta, pq.totals)
 
     order = np.roll(np.arange(n_blocks, dtype=np.int64), -start_block)
     batch_size = 1 if spec.per_block else lookahead
@@ -189,10 +191,12 @@ def run_variant(
 
     res.topk_idx = state.topk_indices()
     res.wall = time.perf_counter() - wall0
-    if res.blocks_considered == n_blocks:
+    if res.tuples_read == pq.ds.n_rows:
         res.stop_reason = "exhausted"
-    else:
+    elif terminated:
         res.stop_reason = "max_delta" if spec.criterion == "slowmatch" else "sum_delta"
+    else:
+        res.stop_reason = "unmet"
     res.tau_est = state.tau
     res.est_counts = state.counts
     res.delta_upper = state.delta_upper

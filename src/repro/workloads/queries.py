@@ -146,6 +146,7 @@ class PreparedQuery:
     counts_index: BlockCountsIndex = field(repr=False, default=None)
     bitmap_t: np.ndarray = field(repr=False, default=None)  # packed uint8, n_blocks × ⌈|V_Z|/8⌉
     exact_counts: np.ndarray = field(repr=False, default=None)
+    totals: np.ndarray = field(repr=False, default=None)  # read-only int64 N_i: exact_counts' row sums
     tau_star: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -193,8 +194,8 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
 
     Everything comes from the dataset's codes, with no Spark job: the
     block store, the bitmap derived from it, and exact ground truth over
-    the store's cells (tests verify each against independent Spark/DuckDB
-    paths).
+    the store's cells with its row totals N_i (tests verify each against
+    independent Spark/DuckDB paths).
     """
     if spec.dataset != ds.name:
         raise ValueError(f"query {spec.qid} does not belong to dataset {ds.name}")
@@ -208,6 +209,8 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         tuples_per_block=ds.tuples_per_block,
     )
     exact = exact_counts(idx.cells, len(z_values), len(x_values))
+    totals = exact.sum(axis=1, dtype=np.int64)
+    totals.flags.writeable = False  # every run's HistSimState shares it
     target, desc = compute_target(spec, z_values, x_values, exact)
     return PreparedQuery(
         spec=spec,
@@ -219,5 +222,6 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         counts_index=idx,
         bitmap_t=bitmap_from_index(idx),
         exact_counts=exact,
+        totals=totals,
         tau_star=l1_distances(exact, target),
     )

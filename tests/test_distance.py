@@ -71,7 +71,9 @@ def test_l1_kernel_rows_and_definition(shape, kind):
     * a row's τ has the same bits whether it is computed alone, in a
       random subset or with every row (HistSim recomputes only the rows
       a batch changed and must equal a full recompute exactly);
-    * τ is the definition ||r̂_i − Q̂||₁ to 1e-12, and 2 on empty rows.
+    * τ is the definition ||r̂_i − Q̂||₁ to 1e-12, and 2 on empty rows;
+    * given integer counts' row totals n, the kernel returns the same
+      bits as when it sums them itself (HistSim passes the n_i it holds).
     """
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     counts = rng.integers(0, 40, size=shape)
@@ -85,6 +87,10 @@ def test_l1_kernel_rows_and_definition(shape, kind):
     for size in (1, 7, shape[0] // 3, shape[0]):
         idx = np.sort(rng.choice(shape[0], size, replace=False))
         assert np.array_equal(l1_distances(counts[idx], q), tau[idx])
+        if kind == "int":  # HistSim's counts, whose totals are exact
+            n = counts[idx].sum(axis=1)
+            assert np.array_equal(l1_distances(counts[idx], q, n), tau[idx])
+            assert np.array_equal(n, counts[idx].sum(axis=1))  # n left as given
     empty = counts.sum(axis=1) == 0
     assert empty.any() and not empty.all()
     assert np.all(tau[empty] == 2.0)

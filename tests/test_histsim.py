@@ -309,6 +309,20 @@ def test_incremental_matches_full_recompute(case, k_pick):
         assert np.array_equal(st.topk_indices(), np.argsort(tau, kind="stable")[:k])
 
 
+def mixed_chunks(rows, half, big_first):
+    """Split a batch's rows into chunks of half + 1 cells (more than
+    |V_Z|/2: a merge that leaves n_i to the next iterate) and half cells
+    (at most |V_Z|/2: a merge that adds into n_i), alternating from the
+    big or the small one."""
+    sizes = [half + 1, half] if big_first else [half, half + 1]
+    out, lo = [], 0
+    while lo < len(rows):
+        size = sizes[len(out) % 2]
+        out.append(rows[lo : lo + size])
+        lo += size
+    return out
+
+
 @pytest.mark.parametrize("case", [0, 1, 2, "taxi-blocks", "taxi-batches"])
 def test_merge_rows_matches_checked_update(case):
     """The replay merge of int32 rows, ``merge(z·|V_X| + x)``, and the
@@ -317,7 +331,13 @@ def test_merge_rows_matches_checked_update(case):
     iteration equal to a full recompute over that reference.  The rows
     are the random and TAXI-shaped streams above, each triple expanded
     into ``cnt`` rows, plus the corner cells (0, 0) and
-    (|V_Z|−1, |V_X|−1) in every batch."""
+    (|V_Z|−1, |V_X|−1) in every batch.
+
+    ``merge`` takes each batch as several chunks before one iterate, of
+    sizes just above and at |V_Z|/2, big then small on even steps and
+    small then big on odd ones, so both merge paths run in both orders
+    (a one-block TAXI batch is a single small chunk); counts and n are
+    checked after every chunk."""
     if isinstance(case, int):
         rng = np.random.default_rng(case)
         n_cand, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
@@ -340,14 +360,16 @@ def test_merge_rows_matches_checked_update(case):
     checked, st = (HistSimState(n_cand, target, k, 0.2, 0.05, totals) for _ in range(2))
     ref_counts = np.zeros((n_cand, d), dtype=np.int64)
     ref_n = np.zeros(n_cand, dtype=np.int64)
-    for z, x in rows:
+    for step, (z, x) in enumerate(rows):
         checked.update(z, x, np.ones(len(z), dtype=np.int64))
-        st.merge((z * d + x).astype(np.int32))
-        np.add.at(ref_counts, (z, x), 1)
-        ref_n += np.bincount(z, minlength=n_cand)
-        for state in (checked, st):
-            np.testing.assert_array_equal(state.counts, ref_counts)
-            np.testing.assert_array_equal(state.n, ref_n)
+        for chunk in mixed_chunks(np.stack((z, x), axis=1), n_cand // 2, step % 2 == 0):
+            st.merge((chunk[:, 0] * d + chunk[:, 1]).astype(np.int32))
+            np.add.at(ref_counts, (chunk[:, 0], chunk[:, 1]), 1)
+            ref_n += np.bincount(chunk[:, 0], minlength=n_cand)
+            np.testing.assert_array_equal(st.counts, ref_counts)
+            np.testing.assert_array_equal(st.n, ref_n)
+        np.testing.assert_array_equal(checked.counts, ref_counts)
+        np.testing.assert_array_equal(checked.n, ref_n)
         st.iterate()
         tau, m, eps_i, delta_i, upper = full_recompute(ref_counts, totals, st.qhat, k, 0.2)
         assert np.array_equal(st.tau, tau)

@@ -38,6 +38,9 @@ def test_prepare_ground_truth_consistency(qid, prepared):
     pq = prepared[qid]
     assert pq.exact_counts.sum() == pq.ds.n_rows
     assert pq.exact_counts.shape == (pq.n_candidates, pq.d)
+    # N_i, precomputed once for every run, and shared read-only
+    assert pq.totals.dtype == np.int64 and not pq.totals.flags.writeable
+    np.testing.assert_array_equal(pq.totals, pq.exact_counts.sum(axis=1))
     assert pq.bitmap.shape == (-(-pq.n_candidates // 8), pq.ds.n_blocks)
     np.testing.assert_allclose(
         pq.tau_star, l1_distances(pq.exact_counts, pq.target)

@@ -61,9 +61,11 @@ def test_counters_sane(variant, flights_pq):
     assert r.n_stat_iters <= r.n_batches
     assert r.est_counts.sum() == r.tuples_read
     assert len(r.topk_idx) == flights_pq.spec.k
-    # stopped by its own criterion, which δ^upper then satisfies, or read everything
-    if r.blocks_considered == flights_pq.ds.n_blocks:
+    # read everything (exact, δ^upper = 0), or stopped by its own criterion,
+    # which δ^upper then satisfies
+    if r.tuples_read == flights_pq.ds.n_rows:
         assert r.stop_reason == "exhausted"
+        assert r.delta_upper == 0.0
     else:
         want = "max_delta" if variant == "slowmatch" else "sum_delta"
         assert r.stop_reason == want
@@ -113,22 +115,35 @@ def police_q1_sf0001():
 @pytest.mark.parametrize("pq_name", ["police_q1_sf0001", "flights_pq"])
 def test_final_statistics_equal_recompute(pq_name, variant, start, request):
     """A run's final τ, top-k and δ^upper equal a from-scratch recompute
-    over its own final counts, bit for bit.  δ^upper is 0 once every
-    tuple is read, which an unpruned run that considered every block has
-    done; a pruned one may have skipped blocks of settled candidates."""
+    over its own final counts, bit for bit.  A run reports ``exhausted``
+    exactly when it read every tuple, and then δ^upper is 0; otherwise it
+    reports its criterion, which δ^upper meets."""
     pq = request.getfixturevalue(pq_name)
     start_block = 0 if start == "first" else pq.ds.n_blocks - 1
     r = run_variant(pq, variant, start_block=start_block)
     tau, *_, upper = full_recompute(
-        r.est_counts, pq.exact_counts.sum(axis=1), normalize_target(pq.target), pq.spec.k, r.eps
+        r.est_counts, pq.totals, normalize_target(pq.target), pq.spec.k, r.eps
     )
     assert np.array_equal(r.tau_est, tau)
     assert np.array_equal(r.topk_idx, np.argsort(tau, kind="stable")[: pq.spec.k])
     assert r.delta_upper == upper
-    if r.stop_reason == "exhausted" and not APPROX_VARIANTS[variant].prune:
-        assert r.tuples_read == pq.ds.n_rows
     if r.tuples_read == pq.ds.n_rows:
+        assert r.stop_reason == "exhausted"
         assert r.delta_upper == 0.0
+    else:
+        assert r.stop_reason == ("max_delta" if variant == "slowmatch" else "sum_delta")
+        assert r.delta_upper <= r.delta
+
+
+def test_pruned_run_that_considers_every_block_names_its_criterion(flights_pq):
+    """flights-q1 FastMatch from block 0 considers every block but skips
+    those of settled candidates, and meets Σδ ≤ δ on its last batch: it
+    is not reported as ``exhausted``, which would claim an exact answer."""
+    r = run_variant(flights_pq, "fastmatch", start_block=0)
+    assert r.blocks_considered == flights_pq.ds.n_blocks
+    assert r.tuples_read < flights_pq.ds.n_rows
+    assert r.stop_reason == "sum_delta"
+    assert r.delta_upper <= r.delta
 
 
 def test_slowmatch_needs_at_least_scanmatch_samples(flights_pq):
