@@ -38,9 +38,8 @@ Each iteration costs what its batch changed plus a few passes over the
 * τ_i is recomputed, by the one fused kernel of :mod:`repro.core.distance`
   handed the n_i the state holds, only for the candidates whose n_i
   moved since the last iteration (a one-block SyncMatch batch touches at
-  most ``tuples_per_block`` of them); after a large merge, or when most
-  n_i moved, the kernel reads the whole counts matrix rather than a copy
-  of the moved rows;
+  most ``tuples_per_block`` of them); after a large merge the kernel
+  reads the whole counts matrix rather than a copy of the moved rows;
 * M, its runner-up and the split point s come from sorting only the
   candidates whose τ is at most the largest current τ of the last M and
   runner-up (a partition over all candidates when those are many), and
@@ -182,28 +181,21 @@ class HistSimState:
         δ^upper on the state.
 
         τ_i is recomputed only where n_i changed since the last call (or
-        for every row, after a large merge or when most changed): counts
-        only grow, so an unchanged n_i means an unchanged row.
+        for every row, after a large merge): counts only grow, so an
+        unchanged n_i means an unchanged row.
         """
-        if self._n_stale:
-            np.einsum("ij->i", self.counts, out=self._n)
-            self._n_stale = False
-            full = True
-        else:
-            moved = self._n != self._n_seen
-            n_moved = np.count_nonzero(moved)
-            full = 2 * n_moved > self.n_candidates
         n = self._n
-        if full:
-            # Most rows moved (a large merge, or many small ones): recompute
-            # every row from the counts matrix itself.  An unmoved row gets
-            # the same bits again, and copying then scattering most rows
-            # costs more.
+        if self._n_stale:
+            # A large merge moved most rows: recompute every row from the
+            # counts matrix itself.  An unmoved row gets the same bits
+            # again, and copying then scattering most rows costs more.
+            np.einsum("ij->i", self.counts, out=n)
+            self._n_stale = False
             changed = slice(None)
             self.tau = l1_distances(self.counts, self.qhat, n)
         else:
-            changed = np.flatnonzero(moved)
-            if n_moved:
+            changed = np.flatnonzero(n != self._n_seen)
+            if len(changed):
                 self.tau[changed] = l1_distances(self.counts[changed], self.qhat, n[changed])
         n_changed = n[changed]
         self._n_seen[changed] = n_changed
@@ -217,16 +209,16 @@ class HistSimState:
 
     # -- termination & activity --------------------------------------------
 
-    def terminated(self, criterion: str = "histsim") -> bool:
+    def terminated(self, criterion: str = "sum_delta") -> bool:
         """Safe-termination test on the current statistics.
 
-        ``histsim``: δ^upper = Σδ_i ≤ δ (the paper's criterion).
-        ``slowmatch``: max_i δ_i ≤ δ/|V_Z| (the naive per-candidate
+        ``sum_delta``: δ^upper = Σδ_i ≤ δ (HistSim's criterion).
+        ``max_delta``: max_i δ_i ≤ δ/|V_Z| (the naive per-candidate
         criterion of the SlowMatch baseline).
         """
-        if criterion == "histsim":
+        if criterion == "sum_delta":
             return self.delta_upper <= self.delta
-        if criterion == "slowmatch":
+        if criterion == "max_delta":
             return float(self.delta_i.max()) <= self.delta / self.n_candidates
         raise ValueError(f"unknown termination criterion: {criterion}")
 

@@ -73,10 +73,10 @@ class VariantSpec:
 
 
 APPROX_VARIANTS: dict[str, VariantSpec] = {
-    "slowmatch": VariantSpec(prune=False, per_block=False, criterion="slowmatch"),
-    "scanmatch": VariantSpec(prune=False, per_block=False, criterion="histsim"),
-    "syncmatch": VariantSpec(prune=True, per_block=True, criterion="histsim"),
-    "fastmatch": VariantSpec(prune=True, per_block=False, criterion="histsim"),
+    "slowmatch": VariantSpec(prune=False, per_block=False, criterion="max_delta"),
+    "scanmatch": VariantSpec(prune=False, per_block=False, criterion="sum_delta"),
+    "syncmatch": VariantSpec(prune=True, per_block=True, criterion="sum_delta"),
+    "fastmatch": VariantSpec(prune=True, per_block=False, criterion="sum_delta"),
 }
 
 
@@ -183,7 +183,6 @@ def run_variant(
         state.merge(cells)
         state.iterate()
         res.time_stats += time.perf_counter() - t0
-        res.n_stat_iters += 1
 
         res.tuples_read += len(cells)
         res.blocks_read += len(to_read)
@@ -194,9 +193,10 @@ def run_variant(
     if res.tuples_read == pq.ds.n_rows:
         res.stop_reason = "exhausted"
     elif terminated:
-        res.stop_reason = "max_delta" if spec.criterion == "slowmatch" else "sum_delta"
+        res.stop_reason = spec.criterion
     else:
         res.stop_reason = "unmet"
+    res.n_stat_iters = state.n_iterations
     res.tau_est = state.tau
     res.est_counts = state.counts
     res.delta_upper = state.delta_upper

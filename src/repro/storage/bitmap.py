@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.storage.blocks import BLOCK_COL, BlockCountsIndex, encode
+from repro.storage.blocks import BLOCK_COL, BlockCountsIndex, block_ids, encode
 
 
 def build_bitmap(df: DataFrame, z: str, *, z_values: list, n_blocks: int) -> np.ndarray:
@@ -47,7 +47,7 @@ def bitmap_from_index(idx: BlockCountsIndex) -> np.ndarray:
     (no Spark job, and no unpacked n_blocks × |V_Z| matrix)."""
     out = np.zeros((idx.n_blocks, -(-len(idx.z_values) // 8)), dtype=np.uint8)
     z = idx.z_idx
-    block_of = np.repeat(np.arange(idx.n_blocks, dtype=np.int64), idx.tuples_per_block)[: len(z)]
+    block_of = block_ids(len(z), idx.tuples_per_block)
     np.bitwise_or.at(out, (block_of, z >> 3), (0x80 >> (z & 7)).astype(np.uint8))
     return out
 

@@ -1,6 +1,7 @@
 """Table 2 analog — dataset descriptions, ours next to the paper's."""
 from __future__ import annotations
 
+from repro.storage.blocks import count_blocks
 from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, draw
 
 PAPER_TABLE2 = {
@@ -24,7 +25,7 @@ def rows(*, sf: float) -> list[dict]:
                 "paper_attrs": paper["attrs"],
                 "ours_tuples": meta.n_rows,
                 "ours_attrs": len(columns),
-                "ours_blocks": -(-meta.n_rows // DEFAULT_TUPLES_PER_BLOCK),
+                "ours_blocks": count_blocks(meta.n_rows, DEFAULT_TUPLES_PER_BLOCK),
                 "tuples_per_block": DEFAULT_TUPLES_PER_BLOCK,
                 "cardinalities": {
                     c: len(v) for c, v in meta.value_sets.items()

@@ -15,11 +15,14 @@ behaviour depends on (see DESIGN.md §2):
   variant wins;
 * rows drawn i.i.d., so the generation order is exchangeable and the
   sequential block layout of §4.2 Challenge 1 is a valid random
-  permutation (block ``b`` is rows ``[b·tpb, (b+1)·tpb)``).
+  permutation (``repro.storage.blocks`` assigns rows to blocks).
 
-The drawn int32 arrays (string and query columns as codes) are the
-dataset: replay keeps the codes :func:`draw` returns, and
-:func:`generate` decodes them into the frame Spark and DuckDB read.
+A dataset is its query attributes' int32 codes into their vocabularies
+(``DatasetMeta.value_sets``), in row order, as :func:`draw` returns
+them; nothing else is drawn.  :func:`decode_frame` is the one decoder of
+codes into values: it builds the Spark relation from the codes a loaded
+dataset holds, and :func:`generate` is :func:`draw` followed by it, the
+frame DuckDB oracles read.
 
 SF semantics: SF = 1.0 → 6M rows (tests use SF = 0.01, ``jobs/``
 SF = 0.4).  Everything is deterministic in ``seed``.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.storage.blocks import BLOCK_COL
+from repro.storage.blocks import BLOCK_COL, block_ids
 
 N_ROWS_PER_SF = 6_000_000
 DEFAULT_TUPLES_PER_BLOCK = 32
@@ -46,21 +49,17 @@ class DatasetMeta:
     """Everything tests and the query layer need to know about a dataset.
 
     ``value_sets`` maps each query attribute → its full sorted value
-    list, ``labels`` each other string column → its labels (drawn as codes).
-    ``marginals`` maps a candidate column → its designed marginal probs
-    (aligned to the sorted value list).  ``profiles`` maps
-    (z_col, x_col) → the designed |V_Z| × |V_X| conditional
-    distributions.  ``clusters`` maps a label → the candidate *indices*
-    engineered to sit near that query's target.
+    list (the vocabulary its codes index).  ``marginals`` maps a
+    candidate column → its designed marginal probs (aligned to the
+    sorted value list).  ``profiles`` maps (z_col, x_col) → the designed
+    |V_Z| × |V_X| conditional distributions.
     """
 
     name: str
     n_rows: int
     value_sets: dict = field(default_factory=dict)
-    labels: dict = field(default_factory=dict)
     marginals: dict = field(default_factory=dict)
     profiles: dict = field(default_factory=dict)
-    clusters: dict = field(default_factory=dict)
 
 
 def _zipf(n: int, alpha: float) -> np.ndarray:
@@ -145,10 +144,6 @@ def _peaked(d: int, peaks: dict[int, float], floor: float = 0.15) -> np.ndarray:
     return v / v.sum()
 
 
-def _spread_ts(n: int, lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(lo, hi, size=n)
-
-
 # ---------------------------------------------------------------------------
 # FLIGHTS
 # ---------------------------------------------------------------------------
@@ -163,11 +158,10 @@ FLIGHTS_REGIONALS = list(range(120, 161))
 FLIGHTS_ATW_NEIGHBORS = [121, 125, 128, 132, 136, 144, 148, 152, 156]
 # rare origins with the Monday-heavy day-of-week profile (q3 top-k pool)
 FLIGHTS_MONDAY = [122, 127, 133, 139, 145, 151, 157, 160]
-FLIGHTS_MONDAY_NEAR = FLIGHTS_MONDAY[:5]
 
 
 def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
-    """FLIGHTS analog: 161 origins × (hour, day-of-week, day-of-month, dest).
+    """FLIGHTS analog: 161 origins × (hour, day-of-week, dest).
 
     Engineered geometry:
 
@@ -208,7 +202,7 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
     # regionals: graded reg_base -> hub pole (ATW cluster near t = 0).
     # t is capped at 0.72 so no regional drifts into the hub cluster:
     # its distance to the hub archetype stays >= 0.28 * ||hub - reg||.
-    reg_ts = _spread_ts(len(FLIGHTS_REGIONALS), 0.40, 0.72, rng)
+    reg_ts = rng.uniform(0.40, 0.72, size=len(FLIGHTS_REGIONALS))
     reg_index = {o: i for i, o in enumerate(FLIGHTS_REGIONALS)}
     reg_ts[reg_index[ATW_ID]] = 0.0
     for j, o in enumerate(FLIGHTS_ATW_NEIGHBORS):
@@ -223,7 +217,7 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
         night_base,
         mid_poles,
         rng.integers(0, 2, len(mid)),
-        _spread_ts(len(mid), 0.0, 0.45, rng),
+        rng.uniform(0.0, 0.45, size=len(mid)),
     )
     hour_profiles = dirichlet_profiles(centers, 6000.0, rng)
     hour_profiles[mid] = dirichlet_profiles(centers[mid], 200.0, rng)
@@ -255,15 +249,7 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
     dest_profiles = dirichlet_profiles(dest_centers, 50000.0, rng)
     dest = sample_conditional(z, dest_profiles, rng)
 
-    columns = {
-        "origin": z,
-        "dest": dest,
-        "day_of_week": dow,
-        "day_of_month": rng.integers(1, 32, n),
-        "departure_hour": hour,
-        "dep_delay": np.maximum(-10, rng.gamma(2.0, 12.0, n) - 15),
-        "arr_delay": np.maximum(-30, rng.gamma(2.0, 15.0, n) - 18),
-    }
+    columns = {"origin": z, "dest": dest, "day_of_week": dow, "departure_hour": hour}
     meta = DatasetMeta(
         name="flights",
         n_rows=n,
@@ -278,12 +264,6 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
             ("origin", "departure_hour"): hour_profiles,
             ("origin", "day_of_week"): dow_profiles,
             ("origin", "dest"): dest_profiles,
-        },
-        clusters={
-            "hubs": FLIGHTS_HUBS,
-            "atw_neighbors": [ATW_ID] + FLIGHTS_ATW_NEIGHBORS,
-            "monday": FLIGHTS_MONDAY,
-            "uniform_dest": FLIGHTS_HUBS[:10],
         },
     )
     return columns, meta
@@ -323,7 +303,7 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
             _peaked(24, {0: 5, 1: 6, 2: 7, 3: 7, 4: 5}),  # night (the club)
         ]
     )
-    ts = _spread_ts(N_LOCATIONS, 0.60, 1.0, rng)
+    ts = rng.uniform(0.60, 1.0, size=N_LOCATIONS)
     pole_of = rng.integers(0, 3, N_LOCATIONS)
     q1_ts = np.array([0.0, 0.02, 0.04, 0.05, 0.07, 0.08, 0.10, 0.11, 0.12, 0.13, 0.50, 0.60])
     ts[TAXI_Q1_CLUSTER] = q1_ts
@@ -339,7 +319,7 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
             _peaked(12, {0: 5, 1: 4, 11: 6}),  # winter
         ]
     )
-    ts2 = _spread_ts(N_LOCATIONS, 0.60, 1.0, rng)
+    ts2 = rng.uniform(0.60, 1.0, size=N_LOCATIONS)
     pole_of2 = rng.integers(0, 2, N_LOCATIONS)
     q2_ts = np.array([0.0, 0.02, 0.04, 0.06, 0.07, 0.09, 0.10, 0.12, 0.13, 0.14, 0.50, 0.60])
     ts2[TAXI_Q2_CLUSTER] = q2_ts
@@ -347,15 +327,7 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
     month_profiles = dirichlet_profiles(month_centers, 3000.0, rng)
     month = sample_conditional(z, month_profiles, rng)
 
-    columns = {
-        "location": z,
-        "hour_of_day": hour,
-        "month_of_year": month,
-        "day_of_week": rng.integers(1, 8, n),
-        "passenger_count": rng.integers(1, 7, n),
-        "trip_minutes": np.maximum(1, rng.gamma(2.2, 6.0, n)),
-        "fare_bucket": rng.integers(0, 10, n),
-    }
+    columns = {"location": z, "hour_of_day": hour, "month_of_year": month}
     meta = DatasetMeta(
         name="taxi",
         n_rows=n,
@@ -369,7 +341,6 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
             ("location", "hour_of_day"): hour_profiles,
             ("location", "month_of_year"): month_profiles,
         },
-        clusters={"uniform_hour": TAXI_Q1_CLUSTER, "uniform_month": TAXI_Q2_CLUSTER},
     )
     return columns, meta
 
@@ -387,7 +358,7 @@ RACES = sorted(["ASIAN", "BLACK", "HISPANIC", "OTHER", "WHITE"])
 
 
 def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
-    """POLICE analog: 191 roads / 512 violations (paper: 2110), 10 attrs.
+    """POLICE analog: 191 roads / 512 violations (paper: 2110).
 
     q1/q2 target closest-to-uniform over contraband (d=2) and officer
     race (d=5) with frequent cluster roads; q3 targets closest-to-uniform
@@ -423,7 +394,7 @@ def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
             np.array([0.04, 0.60, 0.25, 0.03, 0.08]),
         ]
     )
-    ts5 = _spread_ts(N_ROADS, 0.60, 1.0, rng)
+    ts5 = rng.uniform(0.60, 1.0, size=N_ROADS)
     pole5 = rng.integers(0, 2, N_ROADS)
     q2_ts = np.array([0.0, 0.02, 0.03, 0.05, 0.06, 0.08, 0.09, 0.10, 0.11, 0.12, 0.45, 0.55])
     ts5[POLICE_Q2_CLUSTER] = q2_ts
@@ -439,16 +410,11 @@ def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
     gender = sample_conditional(vio, gender_profiles, rng)
 
     columns = {
-        "county": rng.integers(0, 39, n),
         "road_id": road,
         "violation": vio,
-        "officer_gender": rng.integers(0, 2, n),
         "officer_race": race,
         "driver_gender": gender,
-        "driver_age_bucket": rng.integers(0, 6, n),
-        "search_conducted": rng.integers(0, 2, n),
         "contraband_found": contra,
-        "stop_outcome": rng.integers(0, 5, n),
     }
     meta = DatasetMeta(
         name="police",
@@ -460,21 +426,11 @@ def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
             "officer_race": RACES,
             "driver_gender": ["F", "M"],
         },
-        labels={
-            "officer_gender": ["F", "M"],
-            "search_conducted": ["N", "Y"],
-            "stop_outcome": ["ARREST", "CITATION", "NONE", "VERBAL", "WRITTEN"],
-        },
         marginals={"road_id": road_marginal, "violation": vio_marginal},
         profiles={
             ("road_id", "contraband_found"): contra_profiles,
             ("road_id", "officer_race"): race_profiles,
             ("violation", "driver_gender"): gender_profiles,
-        },
-        clusters={
-            "contraband_half": POLICE_Q1_CLUSTER,
-            "uniform_race": POLICE_Q2_CLUSTER,
-            "gender_half": POLICE_Q3_CLUSTER,
         },
     )
     return columns, meta
@@ -484,8 +440,9 @@ DATASETS = {"flights": flights, "taxi": taxi, "police": police}
 
 
 def draw(name: str, *, sf: float = 0.01, seed: int | None = None) -> tuple[dict, DatasetMeta]:
-    """Draw a dataset by name → (column → int32 array in row order, meta);
-    ``seed=None`` takes the dataset's own default seed."""
+    """Draw a dataset by name → (query attribute → int32 codes into
+    ``meta.value_sets``, in row order; meta); ``seed=None`` takes the
+    dataset's own default seed."""
     if name not in DATASETS:
         raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
     kwargs = {"sf": sf} if seed is None else {"sf": sf, "seed": seed}
@@ -499,6 +456,16 @@ def _decode(codes: np.ndarray, labels: list) -> np.ndarray:
     return values.astype(object if values.dtype.kind == "U" else np.int32)[codes]
 
 
+def decode_frame(codes: dict, value_sets: dict, tuples_per_block: int) -> pd.DataFrame:
+    """The rows as values: each column of ``value_sets`` decoded from its
+    ``codes``, plus ``_block_id`` from
+    :func:`~repro.storage.blocks.block_ids` (which raises ``ValueError``
+    unless ``tuples_per_block >= 1``)."""
+    frame = pd.DataFrame({c: _decode(codes[c], vocab) for c, vocab in value_sets.items()})
+    frame[BLOCK_COL] = block_ids(len(frame), tuples_per_block)
+    return frame
+
+
 def generate(
     name: str,
     *,
@@ -506,12 +473,6 @@ def generate(
     tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK,
     seed: int | None = None,
 ) -> tuple[pd.DataFrame, DatasetMeta]:
-    """:func:`draw` decoded into a pandas DataFrame, plus ``_block_id``:
-    block ``b`` is rows ``[b·tpb, (b+1)·tpb)`` (see the module docstring)."""
-    if tuples_per_block < 1:
-        raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
+    """:func:`draw` decoded by :func:`decode_frame`."""
     columns, meta = draw(name, sf=sf, seed=seed)
-    labels = {**meta.value_sets, **meta.labels}
-    frame = {c: _decode(a, labels[c]) if c in labels else a for c, a in columns.items()}
-    frame[BLOCK_COL] = np.arange(meta.n_rows, dtype=np.int64) // tuples_per_block
-    return pd.DataFrame(frame), meta
+    return decode_frame(columns, meta.value_sets, tuples_per_block), meta

@@ -17,7 +17,10 @@ tuple count as in the paper (see EXPERIMENTS.md for the arithmetic);
 ``paper_eps`` records the paper's setting.
 
 :func:`load_dataset` keeps the vocabulary codes the generator drew, in
-row (= block) order, and builds no Spark relation until one is read;
+row (= block) order: they are the dataset.  Its Spark relation, built
+only when first read, is those codes decoded through their vocabularies
+plus ``_block_id`` (:func:`~repro.workloads.datasets.decode_frame`), so
+it holds the same rows in the same blocks with no second draw.
 :func:`prepare` builds the rest from the codes alone: the replay-mode
 block store, the bitmap index, and exact ground truth (counts, τ*)
 counted from the store's cells.
@@ -33,8 +36,12 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.distance import l1_distances
 from repro.storage.bitmap import bitmap_from_index
-from repro.storage.blocks import BlockCountsIndex, build_counts_index, encode, exact_counts
-from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, draw, generate
+from repro.storage.blocks import (
+    BlockCountsIndex, build_counts_index, count_blocks, encode, exact_counts,
+)
+from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, decode_frame, draw
+# generate is not called here; perfbench/spans.py wraps queries.generate by name.
+from repro.workloads.datasets import generate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -92,17 +99,16 @@ class LoadedDataset:
     tuples_per_block: int
     n_blocks: int
     codes: dict = field(repr=False)  # column → read-only int32 codes, row (= block) order
-    sf: float
-    seed: int | None                 # None: the generator's default seed
     spark: SparkSession | None = field(repr=False)
 
     @cached_property
     def sdf(self) -> DataFrame:
-        """:func:`generate`'s frame as a cached Spark relation, built when
-        first read (spark mode and the oracle tests)."""
+        """``codes`` decoded through ``meta.value_sets``, plus ``_block_id``,
+        as a cached Spark relation, built when first read (spark mode and
+        the oracle tests)."""
         if self.spark is None:
             raise RuntimeError(f"dataset {self.name!r} was loaded without a SparkSession")
-        pdf, _ = generate(self.name, sf=self.sf, tuples_per_block=self.tuples_per_block, seed=self.seed)
+        pdf = decode_frame(self.codes, self.meta.value_sets, self.tuples_per_block)
         sdf = self.spark.createDataFrame(pdf).cache()
         sdf.count()  # fill the cache here, not in the first job that reads it
         return sdf
@@ -118,18 +124,13 @@ def load_dataset(
 ) -> LoadedDataset:
     """Draw one dataset and keep its vocabulary codes.  ``spark`` is used
     only if the Spark relation is read; pass ``None`` for replay mode."""
-    if tuples_per_block < 1:
-        raise ValueError(f"tuples_per_block must be >= 1, got {tuples_per_block}")
-    columns, meta = draw(name, sf=sf, seed=seed)
-    n_rows = len(next(iter(columns.values())))
-    codes = {c: columns[c] for c in meta.value_sets}
+    codes, meta = draw(name, sf=sf, seed=seed)
     for a in codes.values():
         a.flags.writeable = False  # block stores range-check them once, when built
     return LoadedDataset(
-        name=name, meta=meta, n_rows=n_rows, tuples_per_block=tuples_per_block,
-        n_blocks=-(-n_rows // tuples_per_block),
-        codes=codes,
-        sf=sf, seed=seed, spark=spark,
+        name=name, meta=meta, n_rows=meta.n_rows, tuples_per_block=tuples_per_block,
+        n_blocks=count_blocks(meta.n_rows, tuples_per_block),
+        codes=codes, spark=spark,
     )
 
 

@@ -8,13 +8,29 @@ from repro.oracle import assert_equivalent
 from repro.storage.blocks import (
     BLOCK_COL,
     block_counts,
+    block_ids,
     build_counts_index,
+    count_blocks,
     encode,
     exact_counts,
     spark_gather,
 )
 from repro.workloads import datasets as wd
 from repro.workloads.queries import QUERIES, load_dataset, prepare
+
+
+def test_layout_rejects_bad_tuples_per_block():
+    """``count_blocks`` holds the one ``tuples_per_block >= 1`` check, and
+    every builder of the layout raises through it."""
+    one = np.zeros(1, dtype=np.int32)
+    for build in (
+        lambda: count_blocks(10, 0),
+        lambda: block_ids(10, -1),
+        lambda: build_counts_index(one, one, z_values=[0], x_values=[0], tuples_per_block=0),
+        lambda: load_dataset(None, "police", sf=0.001, tuples_per_block=0),
+    ):
+        with pytest.raises(ValueError, match="tuples_per_block"):
+            build()
 
 
 def test_add_block_ids_positions():
@@ -226,8 +242,8 @@ def test_index_blocks_oracle(qid, prepared):
 def test_index_partial_block_oracle(police_small):
     """The same oracle on a store whose final block holds 16 of 32 rows,
     over the generator's frame."""
-    ds = police_small.ds
-    pdf, _ = wd.generate(ds.name, sf=ds.sf, tuples_per_block=ds.tuples_per_block, seed=ds.seed)
+    ds = police_small.ds  # at SF 0.001, from the generator's default seed
+    pdf, _ = wd.generate(ds.name, sf=0.001, tuples_per_block=ds.tuples_per_block, seed=None)
     _block_rows_vs_duckdb(police_small, pdf)
 
 

@@ -47,7 +47,7 @@ def test_initial_state():
     st = make_state()
     assert st.n.sum() == 0
     assert not st.terminated()
-    assert not st.terminated("slowmatch")
+    assert not st.terminated("max_delta")
     assert st.active().all()
     with pytest.raises(RuntimeError):
         st.topk_indices()
@@ -137,8 +137,8 @@ def test_termination_criteria_difference():
     st.iterate()
     assert st.delta_upper <= 0.01
     assert st.delta_i.max() > 0.01 / 4
-    assert st.terminated("histsim")
-    assert not st.terminated("slowmatch")
+    assert st.terminated("sum_delta")
+    assert not st.terminated("max_delta")
 
 
 def test_bad_criterion():

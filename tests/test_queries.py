@@ -3,11 +3,14 @@ import dataclasses
 
 import duckdb
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.distance import l1_distances
 from repro.oracle import assert_equivalent
+from repro.storage.blocks import BLOCK_COL
 from repro.workloads import datasets as wd
+from repro.workloads import queries
 from repro.workloads.queries import QUERIES, QuerySpec, compute_target, prepare
 
 from .conftest import SF_TEST
@@ -100,6 +103,29 @@ def test_codes_decode_to_generated_columns(name, datasets):
     for col, vocab in meta.value_sets.items():
         assert ds.codes[col].dtype == np.int32 and not ds.codes[col].flags.writeable
         np.testing.assert_array_equal(np.asarray(vocab)[ds.codes[col]], pdf[col].to_numpy())
+
+
+@pytest.mark.parametrize("name", ["flights", "taxi", "police"])
+def test_relation_is_the_decoded_codes(name, datasets, monkeypatch):
+    """The Spark relation is built from the codes the dataset holds, with
+    no second draw: its columns are the vocabulary columns plus
+    ``_block_id``, and its rows are ``generate``'s frame, row for row."""
+    fresh = dataclasses.replace(datasets[name])  # loaded; its relation not yet built
+
+    def second_draw(*args, **kwargs):
+        raise AssertionError("the relation drew the dataset again")
+
+    for module, attr in ((wd, "draw"), (wd, "generate"), (queries, "draw"), (queries, "generate")):
+        monkeypatch.setattr(module, attr, second_draw)
+    try:
+        got = fresh.sdf.toPandas()
+    finally:
+        if "sdf" in vars(fresh):
+            fresh.sdf.unpersist()
+    monkeypatch.undo()
+    want, meta = wd.generate(name, sf=SF_TEST)
+    assert list(got.columns) == [*meta.value_sets, BLOCK_COL]
+    pd.testing.assert_frame_equal(got, want[got.columns])
 
 
 @pytest.mark.parametrize("qid", sorted(QUERIES))
