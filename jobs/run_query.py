@@ -11,7 +11,9 @@ invoke it across a parameter grid and collect the printed metrics.
 """
 import argparse
 
-from repro.engine.runner import run_scan, run_variant
+import numpy as np
+
+from repro.engine.runner import APPROX_VARIANTS, run_scan, run_variant
 from repro.session import get_spark
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
 from repro.workloads.queries import QUERIES, load_dataset, prepare
@@ -20,7 +22,7 @@ from repro.workloads.queries import QUERIES, load_dataset, prepare
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("qid")
-    ap.add_argument("variant", choices=["scan", "slowmatch", "scanmatch", "syncmatch", "fastmatch"])
+    ap.add_argument("variant", choices=["scan", *APPROX_VARIANTS])
     ap.add_argument("--sf", type=float, default=0.4)
     ap.add_argument("--eps", type=float, default=None)
     ap.add_argument("--delta", type=float, default=0.01)
@@ -40,10 +42,12 @@ def main() -> None:
         print(f"scan: wall={s.wall:.4f}s rows={ds.n_rows}")
         print("top-k:", [pq.z_values[i] for i in s.topk_idx])
     else:
+        start = args.start
+        if start is None and args.seed is not None:
+            start = int(np.random.default_rng(args.seed).integers(0, ds.n_blocks))
         r = run_variant(
             pq, args.variant, eps=args.eps, delta=args.delta,
-            lookahead=args.lookahead, start_block=args.start, seed=args.seed,
-            mode=args.mode,
+            lookahead=args.lookahead, start_block=start, mode=args.mode,
         )
         g1 = guarantee1_satisfied(r.topk_idx, pq.tau_star, spec.k, r.eps)
         g2 = guarantee2_satisfied(r.topk_idx, r.est_counts, pq.exact_counts, r.eps)

@@ -11,13 +11,13 @@ EXPERIMENTS.md records one canonical run.
 """
 import argparse
 
-from repro.tables.table4 import PAPER_TABLE4, VARIANT_ORDER, format_table, rows
+from repro.tables.table4 import DEFAULT_RUNS, PAPER_TABLE4, VARIANT_ORDER, format_table, rows
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sf", type=float, default=0.4)
-    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--runs", type=int, default=DEFAULT_RUNS)
     ap.add_argument("--delta", type=float, default=0.01)
     ap.add_argument("--lookahead", type=int, default=512)
     ap.add_argument("--seed", type=int, default=0)

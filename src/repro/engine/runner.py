@@ -36,7 +36,7 @@ codes once when it was built; the spark fetch guards each value it
 decodes), so both modes make identical decisions and read identical
 blocks (tested).
 
-The loop walks blocks sequentially from a (seeded-random) start with
+The loop walks blocks sequentially from a given (or random) start with
 wraparound — the paper's "linear scan of the shuffled data starting
 from any point".  A candidate whose every tuple has been read (n_i = N_i)
 is exhausted (its histogram is exact → δ_i = 0), which is how a run that
@@ -125,7 +125,6 @@ def run_variant(
     delta: float = 0.01,
     lookahead: int = 512,
     start_block: int | None = None,
-    seed: int | None = None,
     mode: str = "replay",
 ) -> RunResult:
     """Run one approximate variant to termination (or data exhaustion)."""
@@ -139,7 +138,7 @@ def run_variant(
     eps = float(pq.spec.eps if eps is None else eps)
     n_blocks = pq.ds.n_blocks
     if start_block is None:
-        start_block = int(np.random.default_rng(seed).integers(0, n_blocks))
+        start_block = int(np.random.default_rng().integers(0, n_blocks))
     if not 0 <= start_block < n_blocks:
         raise ValueError(f"start_block must be in [0, {n_blocks}), got {start_block}")
     if mode == "spark":  # a first read of sdf builds it: keep that untimed

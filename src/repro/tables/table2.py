@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from repro.storage.blocks import count_blocks
-from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, draw
+from repro.workloads.datasets import DATASETS, DEFAULT_TUPLES_PER_BLOCK, n_rows_at
 
 PAPER_TABLE2 = {
     "flights": {"size": "32 GiB", "tuples": 604_000_000, "attrs": 7, "replications": 5},
@@ -13,26 +13,22 @@ PAPER_TABLE2 = {
 
 def rows(*, sf: float) -> list[dict]:
     """One row per dataset: paper figures + our synthetic analog's, from
-    the drawn codes (blocks of ``DEFAULT_TUPLES_PER_BLOCK`` rows, the
-    last possibly partial)."""
-    out = []
-    for name, paper in PAPER_TABLE2.items():
-        columns, meta = draw(name, sf=sf)
-        out.append(
-            {
-                "dataset": name.upper(),
-                "paper_tuples": paper["tuples"],
-                "paper_attrs": paper["attrs"],
-                "ours_tuples": meta.n_rows,
-                "ours_attrs": len(columns),
-                "ours_blocks": count_blocks(meta.n_rows, DEFAULT_TUPLES_PER_BLOCK),
-                "tuples_per_block": DEFAULT_TUPLES_PER_BLOCK,
-                "cardinalities": {
-                    c: len(v) for c, v in meta.value_sets.items()
-                },
-            }
-        )
-    return out
+    its row count and vocabularies, without drawing it (blocks of
+    ``DEFAULT_TUPLES_PER_BLOCK`` rows, the last possibly partial)."""
+    n = n_rows_at(sf)
+    return [
+        {
+            "dataset": name.upper(),
+            "paper_tuples": paper["tuples"],
+            "paper_attrs": paper["attrs"],
+            "ours_tuples": n,
+            "ours_attrs": len(DATASETS[name].value_sets),
+            "ours_blocks": count_blocks(n, DEFAULT_TUPLES_PER_BLOCK),
+            "tuples_per_block": DEFAULT_TUPLES_PER_BLOCK,
+            "cardinalities": {c: len(v) for c, v in DATASETS[name].value_sets.items()},
+        }
+        for name, paper in PAPER_TABLE2.items()
+    ]
 
 
 def format_table(rs: list[dict]) -> str:

@@ -18,12 +18,12 @@ PAPER_TABLE3 = {
 
 def rows(*, sf: float) -> list[dict]:
     """One row per query: spec + resolved target description."""
-    out = []
-    by_ds: dict[str, object] = {}
+    out, ds = [], None  # datasets are grouped in QUERIES: load each once
     for qid, spec in QUERIES.items():
-        if spec.dataset not in by_ds:
-            by_ds[spec.dataset] = load_dataset(None, spec.dataset, sf=sf)
-        pq = prepare(by_ds[spec.dataset], spec)
+        if ds is None or ds.name != spec.dataset:
+            ds = pq = None  # free the previous dataset before drawing the next
+            ds = load_dataset(None, spec.dataset, sf=sf)
+        pq = prepare(ds, spec)
         paper = PAPER_TABLE3[qid]
         out.append(
             {

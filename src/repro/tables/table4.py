@@ -19,7 +19,8 @@ from repro.engine.runner import APPROX_VARIANTS, RunResult, run_scan, run_varian
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
 from repro.workloads.queries import QUERIES, PreparedQuery, load_dataset, prepare
 
-VARIANT_ORDER = ["slowmatch", "scanmatch", "syncmatch", "fastmatch"]
+VARIANT_ORDER = list(APPROX_VARIANTS)
+DEFAULT_RUNS = 3  # runs per variant per query
 
 #: The paper's Table 4: Scan seconds, then speedup-over-Scan per variant.
 PAPER_TABLE4 = {
@@ -67,7 +68,7 @@ class QueryExperiment:
 def run_query_experiment(
     pq: PreparedQuery,
     *,
-    n_runs: int = 5,
+    n_runs: int = DEFAULT_RUNS,
     delta: float = 0.01,
     lookahead: int = 512,
     seed: int = 0,
@@ -128,7 +129,7 @@ def run_query_experiment(
 def rows(
     *,
     sf: float,
-    n_runs: int = 5,
+    n_runs: int = DEFAULT_RUNS,
     delta: float = 0.01,
     lookahead: int = 512,
     seed: int = 0,
@@ -140,6 +141,7 @@ def rows(
         if queries is not None and qid not in queries:
             continue
         if ds is None or ds.name != spec.dataset:
+            ds = None  # free the previous dataset before drawing the next
             ds = load_dataset(None, spec.dataset, sf=sf)
         out.append(
             run_query_experiment(

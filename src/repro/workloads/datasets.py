@@ -18,18 +18,18 @@ behaviour depends on (see DESIGN.md §2):
   permutation (``repro.storage.blocks`` assigns rows to blocks).
 
 A dataset is its query attributes' int32 codes into their vocabularies
-(``DatasetMeta.value_sets``), in row order, as :func:`draw` returns
-them; nothing else is drawn.  :func:`decode_frame` is the one decoder of
-codes into values: it builds the Spark relation from the codes a loaded
-dataset holds, and :func:`generate` is :func:`draw` followed by it, the
-frame DuckDB oracles read.
-
-SF semantics: SF = 1.0 → 6M rows (tests use SF = 0.01, ``jobs/``
-SF = 0.4).  Everything is deterministic in ``seed``.
+(``DatasetMeta.value_sets``), in row order.  :func:`draw` alone turns
+(name, SF, seed) into one (SF = 1.0 → 6M rows; tests use SF = 0.01,
+``jobs/`` SF = 0.4) with the generator ``(n, rng) → (codes, marginals,
+profiles)`` in :data:`DATASETS`, beside its vocabularies and default
+seed.  :func:`decode_frame`, the one decoder of codes into values, builds
+the Spark relation from a loaded dataset's codes; :func:`generate` is
+:func:`draw` followed by it, the frame DuckDB oracles read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -57,9 +57,9 @@ class DatasetMeta:
 
     name: str
     n_rows: int
-    value_sets: dict = field(default_factory=dict)
-    marginals: dict = field(default_factory=dict)
-    profiles: dict = field(default_factory=dict)
+    value_sets: dict
+    marginals: dict
+    profiles: dict
 
 
 def _zipf(n: int, alpha: float) -> np.ndarray:
@@ -118,22 +118,26 @@ def dirichlet_profiles(centers: np.ndarray, conc: float, rng: np.random.Generato
     return out
 
 
-def sample_conditional(z_ids: np.ndarray, profiles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw x index per row from its candidate's conditional distribution.
+def conditional_sampler(z: np.ndarray, n_z: int) -> Callable:
+    """Sort candidate codes ``z`` (each below ``n_z``) once → ``sample(profiles,
+    rng)``: each row's int32 x code drawn from its candidate's row of
+    ``profiles``, one ``rng.choice`` per candidate segment scattered back
+    to its rows, so every X column of ``z`` shares the sort and keeps the
+    i.i.d. row order."""
+    if n_z > 1 << 16:
+        raise ValueError(f"at most 2**16 candidates, got {n_z}")
+    order = np.argsort(z.astype(np.uint16), kind="stable")  # 16-bit keys: a radix sort
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(z, minlength=n_z))))
 
-    Vectorized per candidate segment (argsort + scatter), preserving the
-    i.i.d. row order.
-    """
-    n = len(z_ids)
-    out = np.empty(n, dtype=np.int64)
-    order = np.argsort(z_ids, kind="stable")
-    sz = z_ids[order]
-    bounds = np.searchsorted(sz, np.arange(profiles.shape[0] + 1))
-    for zi in range(profiles.shape[0]):
-        a, b = bounds[zi], bounds[zi + 1]
-        if b > a:
-            out[order[a:b]] = rng.choice(profiles.shape[1], size=b - a, p=profiles[zi])
-    return out
+    def sample(profiles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty(len(z), dtype=np.int32)
+        for zi in range(n_z):
+            a, b = bounds[zi], bounds[zi + 1]
+            if b > a:
+                out[order[a:b]] = rng.choice(profiles.shape[1], size=b - a, p=profiles[zi])
+        return out
+
+    return sample
 
 
 def _peaked(d: int, peaks: dict[int, float], floor: float = 0.15) -> np.ndarray:
@@ -158,9 +162,15 @@ FLIGHTS_REGIONALS = list(range(120, 161))
 FLIGHTS_ATW_NEIGHBORS = [121, 125, 128, 132, 136, 144, 148, 152, 156]
 # rare origins with the Monday-heavy day-of-week profile (q3 top-k pool)
 FLIGHTS_MONDAY = [122, 127, 133, 139, 145, 151, 157, 160]
+FLIGHTS_VALUE_SETS = {
+    "origin": [f"ORG{i:03d}" for i in range(N_ORIGINS)],
+    "dest": [f"DST{i:03d}" for i in range(N_DESTS)],
+    "day_of_week": list(range(1, 8)),
+    "departure_hour": list(range(24)),
+}
 
 
-def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
+def flights(n: int, rng: np.random.Generator) -> tuple[dict, dict, dict]:
     """FLIGHTS analog: 161 origins × (hour, day-of-week, dest).
 
     Engineered geometry:
@@ -176,15 +186,11 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
     * dest (q4): hubs graded toward the uniform pole (ten within
       t ≤ 0.27), others Zipf-skewed with per-origin permutations.
     """
-    n = max(1, int(N_ROWS_PER_SF * sf))
-    rng = np.random.default_rng(seed)
-    origins = [f"ORG{i:03d}" for i in range(N_ORIGINS)]
-    dests = [f"DST{i:03d}" for i in range(N_DESTS)]
-
     marginal = marginal_with_cluster(
         N_ORIGINS, {h: 0.03 for h in FLIGHTS_HUBS}, alpha=0.75
     )
-    z = rng.choice(N_ORIGINS, size=n, p=marginal)
+    z = rng.choice(N_ORIGINS, size=n, p=marginal).astype(np.int32)
+    by_origin = conditional_sampler(z, N_ORIGINS)
 
     # -- hour profiles ------------------------------------------------------
     # Three nearly-disjoint archetypes: q1/q2 targets live on the hub /
@@ -221,7 +227,7 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
     )
     hour_profiles = dirichlet_profiles(centers, 6000.0, rng)
     hour_profiles[mid] = dirichlet_profiles(centers[mid], 200.0, rng)
-    hour = sample_conditional(z, hour_profiles, rng)
+    hour = by_origin(hour_profiles, rng)
 
     # -- day-of-week profiles ----------------------------------------------
     monday_base = np.array([0.25] + [0.125] * 6)
@@ -233,7 +239,7 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
         monday_base, weekend_base[None, :], np.zeros(len(FLIGHTS_MONDAY), dtype=int), mon_ts
     )
     dow_profiles = dirichlet_profiles(dow_centers, 1800.0, rng)
-    dow = sample_conditional(z, dow_profiles, rng)
+    dow = by_origin(dow_profiles, rng)
 
     # -- dest profiles (q4: closest-to-uniform) -----------------------------
     uni_d = np.full(N_DESTS, 1.0 / N_DESTS)
@@ -247,26 +253,17 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
             t = rng.uniform(0.55, 1.0)
         dest_centers[i] = (1 - t) * uni_d + t * skew
     dest_profiles = dirichlet_profiles(dest_centers, 50000.0, rng)
-    dest = sample_conditional(z, dest_profiles, rng)
+    dest = by_origin(dest_profiles, rng)
 
-    columns = {"origin": z, "dest": dest, "day_of_week": dow, "departure_hour": hour}
-    meta = DatasetMeta(
-        name="flights",
-        n_rows=n,
-        value_sets={
-            "origin": origins,
-            "dest": dests,
-            "day_of_week": list(range(1, 8)),
-            "departure_hour": list(range(24)),
-        },
-        marginals={"origin": marginal},
-        profiles={
+    return (
+        {"origin": z, "dest": dest, "day_of_week": dow, "departure_hour": hour},
+        {"origin": marginal},
+        {
             ("origin", "departure_hour"): hour_profiles,
             ("origin", "day_of_week"): dow_profiles,
             ("origin", "dest"): dest_profiles,
         },
     )
-    return columns, meta
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +273,14 @@ def flights(*, sf: float = 0.01, seed: int = 10) -> tuple[dict, DatasetMeta]:
 N_LOCATIONS = 3072
 TAXI_Q1_CLUSTER = [3, 9, 15, 21, 27, 33, 39, 45, 51, 57, 63, 69]   # near-uniform hour
 TAXI_Q2_CLUSTER = [4, 10, 16, 22, 28, 34, 40, 46, 52, 58, 64, 70]  # near-uniform month
+TAXI_VALUE_SETS = {
+    "location": [f"LOC{i:04d}" for i in range(N_LOCATIONS)],
+    "hour_of_day": list(range(24)),
+    "month_of_year": list(range(1, 13)),
+}
 
 
-def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
+def taxi(n: int, rng: np.random.Generator) -> tuple[dict, dict, dict]:
     """TAXI analog: 3072 pickup locations (paper: 7548, see DESIGN.md §2).
 
     Both queries target "closest candidate to uniform": twelve
@@ -286,13 +288,11 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
     profile (q1) and twelve near the uniform month profile (q2); the
     long tail is skewed toward morning / evening / night poles.
     """
-    n = max(1, int(N_ROWS_PER_SF * sf))
-    rng = np.random.default_rng(seed)
-    locations = [f"LOC{i:04d}" for i in range(N_LOCATIONS)]
     cluster_probs = {c: 0.006 for c in TAXI_Q1_CLUSTER}
     cluster_probs.update({c: 0.006 for c in TAXI_Q2_CLUSTER})
     marginal = marginal_with_cluster(N_LOCATIONS, cluster_probs, alpha=0.85)
-    z = rng.choice(N_LOCATIONS, size=n, p=marginal)
+    z = rng.choice(N_LOCATIONS, size=n, p=marginal).astype(np.int32)
+    by_location = conditional_sampler(z, N_LOCATIONS)
 
     # -- hour profiles (q1) -------------------------------------------------
     uni24 = np.full(24, 1 / 24)
@@ -309,7 +309,7 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
     ts[TAXI_Q1_CLUSTER] = q1_ts
     hour_centers = graded_centers(uni24, poles24, pole_of, ts)
     hour_profiles = dirichlet_profiles(hour_centers, 6000.0, rng)
-    hour = sample_conditional(z, hour_profiles, rng)
+    hour = by_location(hour_profiles, rng)
 
     # -- month profiles (q2) ------------------------------------------------
     uni12 = np.full(12, 1 / 12)
@@ -325,24 +325,16 @@ def taxi(*, sf: float = 0.01, seed: int = 20) -> tuple[dict, DatasetMeta]:
     ts2[TAXI_Q2_CLUSTER] = q2_ts
     month_centers = graded_centers(uni12, poles12, pole_of2, ts2)
     month_profiles = dirichlet_profiles(month_centers, 3000.0, rng)
-    month = sample_conditional(z, month_profiles, rng)
+    month = by_location(month_profiles, rng)
 
-    columns = {"location": z, "hour_of_day": hour, "month_of_year": month}
-    meta = DatasetMeta(
-        name="taxi",
-        n_rows=n,
-        value_sets={
-            "location": locations,
-            "hour_of_day": list(range(24)),
-            "month_of_year": list(range(1, 13)),
-        },
-        marginals={"location": marginal},
-        profiles={
+    return (
+        {"location": z, "hour_of_day": hour, "month_of_year": month},
+        {"location": marginal},
+        {
             ("location", "hour_of_day"): hour_profiles,
             ("location", "month_of_year"): month_profiles,
         },
     )
-    return columns, meta
 
 
 # ---------------------------------------------------------------------------
@@ -354,37 +346,39 @@ N_VIOLATIONS = 512
 POLICE_Q1_CLUSTER = [2, 8, 14, 20, 26, 32, 38, 44, 50, 56, 62, 68]   # contraband ~ 0.5
 POLICE_Q2_CLUSTER = [3, 9, 15, 21, 27, 33, 39, 45, 51, 57, 63, 69]   # race ~ uniform
 POLICE_Q3_CLUSTER = [30, 60, 90, 120, 150, 180, 210, 240]            # gender ~ 0.5
-RACES = sorted(["ASIAN", "BLACK", "HISPANIC", "OTHER", "WHITE"])
+POLICE_VALUE_SETS = {
+    "road_id": [f"RD{i:03d}" for i in range(N_ROADS)],
+    "violation": [f"VIO{i:03d}" for i in range(N_VIOLATIONS)],
+    "contraband_found": ["N", "Y"],
+    "officer_race": sorted(["ASIAN", "BLACK", "HISPANIC", "OTHER", "WHITE"]),
+    "driver_gender": ["F", "M"],
+}
 
 
-def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
+def police(n: int, rng: np.random.Generator) -> tuple[dict, dict, dict]:
     """POLICE analog: 191 roads / 512 violations (paper: 2110).
 
     q1/q2 target closest-to-uniform over contraband (d=2) and officer
     race (d=5) with frequent cluster roads; q3 targets closest-to-uniform
     driver gender (d=2) over the high-cardinality violation attribute.
     """
-    n = max(1, int(N_ROWS_PER_SF * sf))
-    rng = np.random.default_rng(seed)
-    roads = [f"RD{i:03d}" for i in range(N_ROADS)]
-    violations = [f"VIO{i:03d}" for i in range(N_VIOLATIONS)]
-
     road_cluster = {c: 0.02 for c in POLICE_Q1_CLUSTER}
     road_cluster.update({c: 0.015 for c in POLICE_Q2_CLUSTER})
     road_marginal = marginal_with_cluster(N_ROADS, road_cluster, alpha=0.75)
-    road = rng.choice(N_ROADS, size=n, p=road_marginal)
+    road = rng.choice(N_ROADS, size=n, p=road_marginal).astype(np.int32)
 
     vio_marginal = marginal_with_cluster(
         N_VIOLATIONS, {c: 0.004 for c in POLICE_Q3_CLUSTER}, alpha=0.8
     )
-    vio = rng.choice(N_VIOLATIONS, size=n, p=vio_marginal)
+    vio = rng.choice(N_VIOLATIONS, size=n, p=vio_marginal).astype(np.int32)
+    by_road = conditional_sampler(road, N_ROADS)
 
     # -- contraband per road (q1): Bernoulli(p_road), target p = 0.5 --------
     p_contra = rng.uniform(0.03, 0.20, N_ROADS)
     q1_ts = np.array([0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.30, 0.35])
     p_contra[POLICE_Q1_CLUSTER] = 0.5 - 0.4 * q1_ts
     contra_profiles = np.stack([1 - p_contra, p_contra], axis=1)  # [N, Y]
-    contra = sample_conditional(road, contra_profiles, rng)
+    contra = by_road(contra_profiles, rng)
 
     # -- officer race per road (q2): target uniform over 5 ------------------
     uni5 = np.full(5, 0.2)
@@ -400,43 +394,47 @@ def police(*, sf: float = 0.01, seed: int = 30) -> tuple[dict, DatasetMeta]:
     ts5[POLICE_Q2_CLUSTER] = q2_ts
     race_centers = graded_centers(uni5, poles5, pole5, ts5)
     race_profiles = dirichlet_profiles(race_centers, 2500.0, rng)
-    race = sample_conditional(road, race_profiles, rng)
+    race = by_road(race_profiles, rng)
+    del by_road  # one candidate sort alive at a time
 
     # -- driver gender per violation (q3): target p(F) = 0.5 ----------------
     p_female = rng.uniform(0.05, 0.25, N_VIOLATIONS)
     q3_ts = np.array([0.0, 0.01, 0.02, 0.03, 0.04, 0.30, 0.35, 0.40])
     p_female[POLICE_Q3_CLUSTER] = 0.5 - 0.4 * q3_ts
     gender_profiles = np.stack([p_female, 1 - p_female], axis=1)  # [F, M]
-    gender = sample_conditional(vio, gender_profiles, rng)
+    gender = conditional_sampler(vio, N_VIOLATIONS)(gender_profiles, rng)
 
-    columns = {
-        "road_id": road,
-        "violation": vio,
-        "officer_race": race,
-        "driver_gender": gender,
-        "contraband_found": contra,
-    }
-    meta = DatasetMeta(
-        name="police",
-        n_rows=n,
-        value_sets={
-            "road_id": roads,
-            "violation": violations,
-            "contraband_found": ["N", "Y"],
-            "officer_race": RACES,
-            "driver_gender": ["F", "M"],
-        },
-        marginals={"road_id": road_marginal, "violation": vio_marginal},
-        profiles={
+    return (
+        {"road_id": road, "violation": vio, "officer_race": race,
+         "driver_gender": gender, "contraband_found": contra},
+        {"road_id": road_marginal, "violation": vio_marginal},
+        {
             ("road_id", "contraband_found"): contra_profiles,
             ("road_id", "officer_race"): race_profiles,
             ("violation", "driver_gender"): gender_profiles,
         },
     )
-    return columns, meta
 
 
-DATASETS = {"flights": flights, "taxi": taxi, "police": police}
+class Source(NamedTuple):
+    """A dataset's generator ``(n, rng) → (codes, marginals, profiles)``,
+    the vocabularies its codes index, and its default seed."""
+
+    generator: Callable
+    value_sets: dict
+    seed: int
+
+
+DATASETS = {
+    "flights": Source(flights, FLIGHTS_VALUE_SETS, 10),
+    "taxi": Source(taxi, TAXI_VALUE_SETS, 20),
+    "police": Source(police, POLICE_VALUE_SETS, 30),
+}
+
+
+def n_rows_at(sf: float) -> int:
+    """Rows at scale factor ``sf``: ``N_ROWS_PER_SF`` per unit, at least one."""
+    return max(1, int(N_ROWS_PER_SF * sf))
 
 
 def draw(name: str, *, sf: float = 0.01, seed: int | None = None) -> tuple[dict, DatasetMeta]:
@@ -445,9 +443,11 @@ def draw(name: str, *, sf: float = 0.01, seed: int | None = None) -> tuple[dict,
     dataset's own default seed."""
     if name not in DATASETS:
         raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
-    kwargs = {"sf": sf} if seed is None else {"sf": sf, "seed": seed}
-    columns, meta = DATASETS[name](**kwargs)
-    return {c: a.astype(np.int32) for c, a in columns.items()}, meta
+    source, n = DATASETS[name], n_rows_at(sf)
+    rng = np.random.default_rng(source.seed if seed is None else seed)
+    codes, marginals, profiles = source.generator(n, rng)
+    value_sets = {c: list(v) for c, v in source.value_sets.items()}
+    return codes, DatasetMeta(name, n, value_sets, marginals, profiles)
 
 
 def _decode(codes: np.ndarray, labels: list) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Workload generators: schemas, determinism, and engineered geometry."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,9 +217,68 @@ def test_graded_centers_endpoints():
 
 
 def test_sample_conditional_respects_profiles():
+    """Two X columns drawn from one sort of the candidate codes each follow
+    their candidate's profile, as int32 codes in row order."""
     rng = np.random.default_rng(0)
-    z = rng.integers(0, 2, 20_000)
-    prof = np.array([[0.9, 0.1], [0.1, 0.9]])
-    x = wd.sample_conditional(z, prof, rng)
-    assert np.mean(x[z == 0]) == pytest.approx(0.1, abs=0.02)
-    assert np.mean(x[z == 1]) == pytest.approx(0.9, abs=0.02)
+    z = rng.integers(0, 2, 20_000).astype(np.int32)
+    sample = wd.conditional_sampler(z, 2)
+    for prof in (np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[0.3, 0.7], [0.8, 0.2]])):
+        x = sample(prof, rng)
+        assert x.dtype == np.int32
+        assert np.mean(x[z == 0]) == pytest.approx(prof[0, 1], abs=0.02)
+        assert np.mean(x[z == 1]) == pytest.approx(prof[1, 1], abs=0.02)
+
+
+def test_conditional_sampler_rejects_wide_candidates():
+    with pytest.raises(ValueError, match="2\\*\\*16"):
+        wd.conditional_sampler(np.zeros(4, dtype=np.int32), (1 << 16) + 1)
+
+
+# -- the draw pipeline -------------------------------------------------------
+
+
+def _digest(codes: dict, meta) -> str:
+    """SHA-256 over every code array (name, dtype, bytes) and every meta
+    field, ``value_sets`` in its key order."""
+    h = hashlib.sha256()
+    for c in sorted(codes):
+        h.update(f"{c}:{codes[c].dtype}:".encode() + codes[c].tobytes())
+    h.update(repr((meta.name, meta.n_rows, list(meta.value_sets.items()))).encode())
+    for k in sorted(meta.marginals):
+        h.update(f"{k}:{meta.marginals[k].dtype}:".encode() + meta.marginals[k].tobytes())
+    for k in sorted(meta.profiles):
+        p = meta.profiles[k]
+        h.update(f"{k}:{p.dtype}:{p.shape}:".encode() + p.tobytes())
+    return h.hexdigest()
+
+
+#: ``draw(name, sf=0.002, seed=seed)`` digests: any change to the drawn
+#: codes, their dtype or the meta changes one.
+DRAW_DIGESTS = {
+    ("flights", None):
+        "4c55a7da838d7ae62de86a58824e6917481b4efcd70a328c5fa4e88b4ef783dc",
+    ("flights", 99):
+        "2c5ff909f0992355b044287436ae7533740ebe1f05ca8b70d470d6fbb3162650",
+    ("taxi", None):
+        "f5d85c91a290e6be91515877e0187f675e149fe552a822066a8a7d0abe5320b6",
+    ("taxi", 99):
+        "a4b6afc7a14b655b3bc80a3aab23ce849b03cfda4c4918d61b4c9fa3d6325519",
+    ("police", None):
+        "13ca338eebad2e21f711d166b07162b32b42516e24b57c3c8df2061e8bdb3e3f",
+    ("police", 99):
+        "427623646ceaf8dad4fb542df220192894edea87cf6127da834413fda21fb994",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(DRAW_DIGESTS))
+def test_draw_is_byte_identical(name, seed):
+    assert _digest(*wd.draw(name, sf=0.002, seed=seed)) == DRAW_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name, n_sorts", [("flights", 1), ("taxi", 1), ("police", 2)])
+def test_draw_sorts_each_candidate_column_once(name, n_sorts, monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    wd.draw(name, sf=0.002)
+    assert len(calls) == n_sorts

@@ -19,6 +19,11 @@ from tests.test_histsim import full_recompute
 VARIANTS = sorted(APPROX_VARIANTS)
 
 
+def seeded_start(pq, seed: int) -> int:
+    """The start block ``jobs/run_query.py --seed`` draws."""
+    return int(np.random.default_rng(seed).integers(0, pq.ds.n_blocks))
+
+
 # -- basics ------------------------------------------------------------------
 
 
@@ -42,12 +47,17 @@ def test_bad_start_raises(flights_pq):
         run_variant(flights_pq, "fastmatch", start_block=10**9)
 
 
-def test_seeded_start_is_deterministic(flights_pq):
-    a = run_variant(flights_pq, "fastmatch", seed=5)
-    b = run_variant(flights_pq, "fastmatch", seed=5)
-    assert a.start_block == b.start_block
-    assert a.tuples_read == b.tuples_read
+def test_same_start_is_deterministic(flights_pq):
+    """Two runs from one start block read the same blocks and return the
+    same answer, counts and bound."""
+    start = seeded_start(flights_pq, 5)
+    a = run_variant(flights_pq, "fastmatch", start_block=start)
+    b = run_variant(flights_pq, "fastmatch", start_block=start)
+    assert a.start_block == b.start_block == start
+    assert (a.tuples_read, a.blocks_read, a.n_batches) == (b.tuples_read, b.blocks_read, b.n_batches)
     np.testing.assert_array_equal(a.topk_idx, b.topk_idx)
+    np.testing.assert_array_equal(a.est_counts, b.est_counts)
+    assert a.delta_upper == b.delta_upper
 
 
 # -- counters & termination --------------------------------------------------
@@ -223,7 +233,7 @@ def test_spark_paths_reject_null_and_unseen_values(column, value, prepared, spar
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_guarantees_hold(qid, variant, prepared):
     pq = prepared[qid]
-    r = run_variant(pq, variant, seed=42)
+    r = run_variant(pq, variant, start_block=seeded_start(pq, 42))
     assert guarantee1_satisfied(r.topk_idx, pq.tau_star, pq.spec.k, r.eps)
     assert guarantee2_satisfied(r.topk_idx, r.est_counts, pq.exact_counts, r.eps)
     assert delta_d(r.topk_idx, pq.tau_star, pq.spec.k) < 0.5
@@ -253,7 +263,7 @@ def test_replay_needs_no_spark():
     for qid in ("police-q1", "police-q2", "police-q3"):
         pq = prepare(ds, QUERIES[qid])
         for variant in VARIANTS:
-            r = run_variant(pq, variant, seed=1, mode="replay")
+            r = run_variant(pq, variant, start_block=seeded_start(pq, 1), mode="replay")
             assert guarantee1_satisfied(r.topk_idx, pq.tau_star, pq.spec.k, r.eps)
         np.testing.assert_array_equal(run_scan(pq).topk_idx, pq.true_topk())
     assert "sdf" not in vars(ds)

@@ -9,7 +9,7 @@ from repro.tables.table4 import (
     format_table,
     run_query_experiment,
 )
-from repro.workloads.datasets import generate
+from repro.workloads import datasets
 
 
 def test_paper_reference_numbers_complete():
@@ -21,25 +21,27 @@ def test_paper_reference_numbers_complete():
         assert set(row) == {"scan_s", *VARIANT_ORDER}
 
 
-def test_table2_rows():
-    """Tuples, attributes and blocks of each row equal those of
-    ``generate``'s frame: at SF 0.002, and at SF 0.001, where police's
-    final block is partial."""
-    rows = table2.rows(sf=0.002)
+def test_table2_rows(monkeypatch):
+    """Table 2 draws no dataset, and the tuples, attributes, blocks and
+    cardinalities of each row equal those of ``generate``'s frame: at SF 0.002, and at SF
+    0.001, where police's final block is partial."""
+    with monkeypatch.context() as m:
+        m.setattr(datasets, "draw", lambda *a, **k: pytest.fail("table2.rows drew a dataset"))
+        rows, small = table2.rows(sf=0.002), table2.rows(sf=0.001)
     assert [r["dataset"] for r in rows] == ["FLIGHTS", "TAXI", "POLICE"]
     for r in rows:
         assert r["ours_tuples"] == 12_000
     txt = table2.format_table(rows)
     assert "FLIGHTS" in txt and "604,000,000" in txt
-    small = table2.rows(sf=0.001)
     police = small[-1]
     assert police["ours_tuples"] % police["tuples_per_block"] != 0
     for sf, rs in ((0.002, rows), (0.001, small)):
         for r in rs:
-            pdf, _ = generate(r["dataset"].lower(), sf=sf)
+            pdf, meta = datasets.generate(r["dataset"].lower(), sf=sf)
             assert r["ours_tuples"] == len(pdf)
             assert r["ours_attrs"] == len(pdf.columns.drop(BLOCK_COL))
             assert r["ours_blocks"] == pdf[BLOCK_COL].iloc[-1] + 1
+            assert r["cardinalities"] == {c: len(v) for c, v in meta.value_sets.items()}
 
 
 def test_table3_rows():
