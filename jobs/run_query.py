@@ -8,12 +8,13 @@ Usage::
 
 This is the hook for the paper's sweep figures (ε, δ, lookahead) —
 invoke it across a parameter grid and collect the printed metrics.
+δ and lookahead default to the paper's Table 4 settings.
 """
 import argparse
 
 import numpy as np
 
-from repro.engine.runner import APPROX_VARIANTS, run_scan, run_variant
+from repro.engine.runner import APPROX_VARIANTS, DELTA, LOOKAHEAD, run_scan, run_variant
 from repro.session import get_spark
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
 from repro.workloads.queries import QUERIES, load_dataset, prepare
@@ -21,12 +22,12 @@ from repro.workloads.queries import QUERIES, load_dataset, prepare
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("qid")
+    ap.add_argument("qid", choices=sorted(QUERIES))
     ap.add_argument("variant", choices=["scan", *APPROX_VARIANTS])
     ap.add_argument("--sf", type=float, default=0.4)
     ap.add_argument("--eps", type=float, default=None)
-    ap.add_argument("--delta", type=float, default=0.01)
-    ap.add_argument("--lookahead", type=int, default=512)
+    ap.add_argument("--delta", type=float, default=DELTA)
+    ap.add_argument("--lookahead", type=int, default=LOOKAHEAD)
     ap.add_argument("--start", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--mode", choices=["replay", "spark"], default="replay")

@@ -2,52 +2,45 @@
 
 Usage::
 
-    python jobs/table4.py [--sf 0.4] [--runs 3] [--queries flights-q1 ...]
-                          [--delta 0.01] [--lookahead 512] [--seed 0]
+    python jobs/table4.py [--sf 0.4] [--runs 3] [--queries flights-q1 ...] [--seed 0]
 
-Prints our table next to the paper's numbers, plus per-variant read
-fractions, guarantee/Δ_d verification and why the runs stopped.
-EXPERIMENTS.md records one canonical run.
+Runs at the paper's δ = 0.01 and lookahead = 512; ``jobs/run_query.py``
+sweeps them.  Prints our table next to the paper's numbers, plus
+per-variant read fractions, guarantee/Δ_d verification and why the runs
+stopped.  EXPERIMENTS.md records one canonical run.
 """
 import argparse
 
-from repro.tables.table4 import DEFAULT_RUNS, PAPER_TABLE4, VARIANT_ORDER, format_table, rows
+from repro.engine.runner import APPROX_VARIANTS
+from repro.tables.table4 import DEFAULT_RUNS, PAPER_TABLE4, format_table, rows
+from repro.workloads.queries import QUERIES
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sf", type=float, default=0.4)
     ap.add_argument("--runs", type=int, default=DEFAULT_RUNS)
-    ap.add_argument("--delta", type=float, default=0.01)
-    ap.add_argument("--lookahead", type=int, default=512)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--queries", nargs="*", default=None)
+    ap.add_argument("--queries", nargs="+", default=None, choices=sorted(QUERIES))
     args = ap.parse_args()
-    exps = rows(
-        sf=args.sf,
-        n_runs=args.runs,
-        delta=args.delta,
-        lookahead=args.lookahead,
-        seed=args.seed,
-        queries=args.queries,
-    )
+    exps = rows(sf=args.sf, n_runs=args.runs, seed=args.seed, queries=args.queries)
     print(f"\n=== Table 4 (ours; sf={args.sf}, runs={args.runs}) ===")
     print(format_table(exps))
     print("\n=== paper vs ours (speedup over Scan) ===")
     hdr = f"{'Query':<11} " + " ".join(
-        f"{v + ' (p/o)':>24}" for v in VARIANT_ORDER
+        f"{v + ' (p/o)':>24}" for v in APPROX_VARIANTS
     )
     print(hdr)
     for e in exps:
         paper = PAPER_TABLE4[e.qid]
         cells = [
             f"{paper[v]:>10.2f} / {e.variants[v].speedup:<10.2f}"
-            for v in VARIANT_ORDER
+            for v in APPROX_VARIANTS
         ]
         print(f"{e.qid:<11} " + " ".join(f"{c:>24}" for c in cells))
     print("\n=== diagnostics ===")
     for e in exps:
-        for v in VARIANT_ORDER:
+        for v in APPROX_VARIANTS:
             s = e.variants[v]
             print(
                 f"{e.qid:<11} {v:<10} read={s.read_fraction:7.1%} "

@@ -79,18 +79,20 @@ APPROX_VARIANTS: dict[str, VariantSpec] = {
     "fastmatch": VariantSpec(prune=True, per_block=False, criterion="sum_delta"),
 }
 
+#: The paper's Table 4 settings (§5.2–5.3): the failure probability δ and
+#: the blocks marked per lookahead batch.  Table 4 always runs them; the
+#: δ and lookahead sweeps pass others through ``jobs/run_query.py``.
+DELTA = 0.01
+LOOKAHEAD = 512
+
 
 @dataclass
 class RunResult:
     """Outcome + counters of one approximate run."""
 
-    variant: str
-    qid: str
     eps: float
     delta: float
-    lookahead: int
     start_block: int
-    mode: str
     topk_idx: np.ndarray           # returned matching set M (indices)
     tau_est: np.ndarray            # final distance estimates τ_i
     est_counts: np.ndarray = field(repr=False, default=None)  # final r_i
@@ -111,7 +113,6 @@ class RunResult:
 class ScanResult:
     """The exact baseline: one count over every row, measured wall time."""
 
-    qid: str
     topk_idx: np.ndarray
     tau: np.ndarray
     wall: float
@@ -122,8 +123,8 @@ def run_variant(
     variant: str,
     *,
     eps: float | None = None,
-    delta: float = 0.01,
-    lookahead: int = 512,
+    delta: float = DELTA,
+    lookahead: int = LOOKAHEAD,
     start_block: int | None = None,
     mode: str = "replay",
 ) -> RunResult:
@@ -151,11 +152,7 @@ def run_variant(
 
     order = np.roll(np.arange(n_blocks, dtype=np.int64), -start_block)
     batch_size = 1 if spec.per_block else lookahead
-    res = RunResult(
-        variant=variant, qid=pq.spec.qid, eps=eps, delta=delta,
-        lookahead=lookahead, start_block=start_block, mode=mode,
-        topk_idx=None, tau_est=None,
-    )
+    res = RunResult(eps=eps, delta=delta, start_block=start_block, topk_idx=None, tau_est=None)
     pos = 0
     terminated = False
     while pos < n_blocks and not terminated:
@@ -165,12 +162,8 @@ def run_variant(
         res.blocks_considered += len(batch)
 
         t0 = time.perf_counter()
-        if spec.prune:
-            marks = mark_lookahead(pq.bitmap_t, state.active(), batch)
-        else:
-            marks = np.ones(len(batch), dtype=bool)
+        to_read = batch[mark_lookahead(pq.bitmap_t, state.active(), batch)] if spec.prune else batch
         res.time_decide += time.perf_counter() - t0
-        to_read = batch[marks]
         if len(to_read) == 0:
             continue
 
@@ -216,4 +209,4 @@ def run_scan(pq: PreparedQuery) -> ScanResult:
     tau = l1_distances(counts, pq.target)
     topk = np.argsort(tau, kind="stable")[: pq.spec.k]
     wall = time.perf_counter() - t0
-    return ScanResult(qid=pq.spec.qid, topk_idx=topk, tau=tau, wall=wall)
+    return ScanResult(topk_idx=topk, tau=tau, wall=wall)

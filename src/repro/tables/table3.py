@@ -1,7 +1,7 @@
 """Table 3 analog — query summaries with resolved targets."""
 from __future__ import annotations
 
-from repro.workloads.queries import QUERIES, load_dataset, prepare
+from repro.workloads.queries import PreparedQuery, for_each_query
 
 PAPER_TABLE3 = {
     "flights-q1": {"vz": 161, "vx": 24, "k": 10, "target": "Chicago ORD"},
@@ -18,30 +18,25 @@ PAPER_TABLE3 = {
 
 def rows(*, sf: float) -> list[dict]:
     """One row per query: spec + resolved target description."""
-    out, ds = [], None  # datasets are grouped in QUERIES: load each once
-    for qid, spec in QUERIES.items():
-        if ds is None or ds.name != spec.dataset:
-            ds = pq = None  # free the previous dataset before drawing the next
-            ds = load_dataset(None, spec.dataset, sf=sf)
-        pq = prepare(ds, spec)
-        paper = PAPER_TABLE3[qid]
-        out.append(
-            {
-                "query": qid,
-                "z": spec.z,
-                "vz_paper": paper["vz"],
-                "vz_ours": pq.n_candidates,
-                "x": spec.x,
-                "vx_paper": paper["vx"],
-                "vx_ours": pq.d,
-                "k": spec.k,
-                "eps": spec.eps,
-                "paper_eps": spec.paper_eps,
-                "target_paper": paper["target"],
-                "target_ours": pq.target_desc,
-            }
-        )
-    return out
+    return for_each_query(_row, sf=sf)
+
+
+def _row(pq: PreparedQuery) -> dict:
+    spec, paper = pq.spec, PAPER_TABLE3[pq.spec.qid]
+    return {
+        "query": spec.qid,
+        "z": spec.z,
+        "vz_paper": paper["vz"],
+        "vz_ours": pq.n_candidates,
+        "x": spec.x,
+        "vx_paper": paper["vx"],
+        "vx_ours": pq.d,
+        "k": spec.k,
+        "eps": spec.eps,
+        "paper_eps": spec.paper_eps,
+        "target_paper": paper["target"],
+        "target_ours": pq.target_desc,
+    }
 
 
 def format_table(rs: list[dict]) -> str:
@@ -50,11 +45,10 @@ def format_table(rs: list[dict]) -> str:
         f"{'k':>2} {'eps':>5}  Target"
     ]
     for r in rs:
+        z = f"{r['z']}({r['vz_paper']}/{r['vz_ours']})"
+        x = f"{r['x']}({r['vx_paper']}/{r['vx_ours']})"
         lines.append(
-            f"{r['query']:<11} {r['z']}({r['vz_paper']}/{r['vz_ours']})"
-            f"{'':<{max(0, 26 - len(r['z']) - len(str(r['vz_paper'])) - len(str(r['vz_ours'])) - 3)}} "
-            f"{r['x']}({r['vx_paper']}/{r['vx_ours']})"
-            f"{'':<{max(0, 30 - len(r['x']) - len(str(r['vx_paper'])) - len(str(r['vx_ours'])) - 3)}} "
+            f"{r['query']:<11} {z:<26} {x:<30} "
             f"{r['k']:>2} {r['eps']:>5}  {r['target_ours']} (paper: {r['target_paper']})"
         )
     return "\n".join(lines)

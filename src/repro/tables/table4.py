@@ -1,7 +1,8 @@
 """Table 4 analog — average speedups over Scan for every query × variant.
 
 Per query: ``n_runs`` replay runs of each approximate variant from seeded
-random start blocks, and beside them the exact ``Scan`` (one ``bincount``
+random start blocks, at the paper's δ and lookahead (``runner.DELTA``,
+``runner.LOOKAHEAD``), and beside them the exact ``Scan`` (one ``bincount``
 over the same codes).  A speedup is the Scan's best wall time over the
 variant's mean measured wall time.  Guarantee-1/2
 satisfaction and Δ_d are verified against exact ground truth on every
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.engine.runner import APPROX_VARIANTS, RunResult, run_scan, run_variant
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
-from repro.workloads.queries import QUERIES, PreparedQuery, load_dataset, prepare
+from repro.workloads.queries import PreparedQuery, for_each_query
 
-VARIANT_ORDER = list(APPROX_VARIANTS)
 DEFAULT_RUNS = 3  # runs per variant per query
 
 #: The paper's Table 4: Scan seconds, then speedup-over-Scan per variant.
@@ -40,7 +41,6 @@ PAPER_TABLE4 = {
 class VariantSummary:
     """Aggregates over the runs of one variant on one query."""
 
-    variant: str
     speedup: float
     seconds: float              # measured wall time, averaged
     read_fraction: float        # tuples read / total tuples, averaged
@@ -57,11 +57,7 @@ class VariantSummary:
 @dataclass
 class QueryExperiment:
     qid: str
-    eps: float
-    delta: float
-    lookahead: int
     scan_seconds: float
-    n_rows: int
     variants: dict[str, VariantSummary]
 
 
@@ -69,12 +65,10 @@ def run_query_experiment(
     pq: PreparedQuery,
     *,
     n_runs: int = DEFAULT_RUNS,
-    delta: float = 0.01,
-    lookahead: int = 512,
     seed: int = 0,
-    variants=None,
 ) -> QueryExperiment:
-    """Run each variant ``n_runs`` times, timing the Scan beside them.
+    """Run each variant ``n_runs`` times at the paper's δ and lookahead,
+    timing the Scan beside them.
 
     For each start block, ⌈10 / n_runs⌉ Scans are timed and then every
     variant runs from it; the fastest of all the Scans (at least ten) is
@@ -86,15 +80,12 @@ def run_query_experiment(
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, pq.ds.n_blocks, size=n_runs)
-    names = variants or VARIANT_ORDER
-    all_runs: dict[str, list[RunResult]] = {v: [] for v in names}
+    all_runs: dict[str, list[RunResult]] = {v: [] for v in APPROX_VARIANTS}
     scan_walls = []
     for s in starts:
         scan_walls += [run_scan(pq).wall for _ in range(-(-10 // n_runs))]
-        for variant in names:
-            all_runs[variant].append(
-                run_variant(pq, variant, delta=delta, lookahead=lookahead, start_block=int(s))
-            )
+        for variant in APPROX_VARIANTS:
+            all_runs[variant].append(run_variant(pq, variant, start_block=int(s)))
     scan_seconds = min(scan_walls)
     summaries: dict[str, VariantSummary] = {}
     for variant, runs in all_runs.items():
@@ -107,7 +98,6 @@ def run_query_experiment(
             dds.append(delta_d(r.topk_idx, pq.tau_star, pq.spec.k))
         seconds = float(np.mean([r.wall for r in runs]))
         summaries[variant] = VariantSummary(
-            variant=variant,
             speedup=scan_seconds / seconds,
             seconds=seconds,
             read_fraction=float(np.mean([r.tuples_read for r in runs])) / pq.ds.n_rows,
@@ -120,46 +110,28 @@ def run_query_experiment(
             stop_reasons=Counter(r.stop_reason for r in runs),
             runs=runs,
         )
-    return QueryExperiment(
-        qid=pq.spec.qid, eps=pq.spec.eps, delta=delta, lookahead=lookahead,
-        scan_seconds=scan_seconds, n_rows=pq.ds.n_rows, variants=summaries,
-    )
+    return QueryExperiment(qid=pq.spec.qid, scan_seconds=scan_seconds, variants=summaries)
 
 
 def rows(
-    *,
-    sf: float,
-    n_runs: int = DEFAULT_RUNS,
-    delta: float = 0.01,
-    lookahead: int = 512,
-    seed: int = 0,
-    queries=None,
+    *, sf: float, n_runs: int = DEFAULT_RUNS, seed: int = 0, queries=None
 ) -> list[QueryExperiment]:
-    """Run the full Table 4 grid (all queries × all variants)."""
-    out, ds = [], None  # datasets are grouped in QUERIES: load each once
-    for qid, spec in QUERIES.items():
-        if queries is not None and qid not in queries:
-            continue
-        if ds is None or ds.name != spec.dataset:
-            ds = None  # free the previous dataset before drawing the next
-            ds = load_dataset(None, spec.dataset, sf=sf)
-        out.append(
-            run_query_experiment(
-                prepare(ds, spec), n_runs=n_runs, delta=delta, lookahead=lookahead, seed=seed
-            )
-        )
-    return out
+    """Run the Table 4 grid: every query (or those in ``queries``) × every
+    variant."""
+    return for_each_query(
+        partial(run_query_experiment, n_runs=n_runs, seed=seed), sf=sf, qids=queries
+    )
 
 
 def format_table(exps: list[QueryExperiment]) -> str:
     """Printable rows in the paper's Table 4 layout (speedup (raw s))."""
     lines = [
         f"{'Query':<11} {'Scan(s)':>8} "
-        + " ".join(f"{v:>22}" for v in VARIANT_ORDER)
+        + " ".join(f"{v:>22}" for v in APPROX_VARIANTS)
     ]
     for e in exps:
         cells = []
-        for v in VARIANT_ORDER:
+        for v in APPROX_VARIANTS:
             s = e.variants[v]
             cells.append(f"{s.speedup:>9.3f}x ({s.seconds:.4f}s)")
         lines.append(f"{e.qid:<11} {e.scan_seconds:>8.4f} " + " ".join(f"{c:>22}" for c in cells))

@@ -23,13 +23,14 @@ plus ``_block_id`` (:func:`~repro.workloads.datasets.decode_frame`), so
 it holds the same rows in the same blocks with no second draw.
 :func:`prepare` builds the rest from the codes alone: the replay-mode
 block store, the bitmap index, and exact ground truth (counts, τ*)
-counted from the store's cells.
+counted from the store's cells.  :func:`for_each_query` is the one walk
+over the queries that the table harnesses share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -226,3 +227,30 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         totals=totals,
         tau_star=l1_distances(exact, target),
     )
+
+
+def for_each_query(
+    fn: Callable[[PreparedQuery], Any], *, sf: float, qids=None
+) -> list:
+    """Prepare each query, in ``QUERIES`` order, and return ``[fn(pq), …]``.
+
+    ``qids``, if given, selects the queries; an unknown id raises before
+    anything is drawn.  A dataset's queries are adjacent in ``QUERIES``, so
+    each dataset is drawn once, with no SparkSession, and dropped before
+    the next is drawn.  The walk takes a callback rather than yielding,
+    because a generator's caller would keep its last ``pq``, and with it
+    that dataset, alive while the next one is drawn.
+    """
+    if qids is not None:
+        unknown = sorted(set(qids) - QUERIES.keys())
+        if unknown:
+            raise ValueError(f"unknown query ids {unknown}; choose from {sorted(QUERIES)}")
+    out, ds = [], None
+    for qid, spec in QUERIES.items():
+        if qids is not None and qid not in qids:
+            continue
+        if ds is None or ds.name != spec.dataset:
+            ds = None  # free the previous dataset before drawing the next
+            ds = load_dataset(None, spec.dataset, sf=sf)
+        out.append(fn(prepare(ds, spec)))
+    return out

@@ -1,0 +1,69 @@
+"""The command-line jobs, run as scripts with no Spark, print what the
+library computes, and reject unknown query ids before drawing anything."""
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.tables import table2, table3, table4
+from repro.workloads import queries
+from repro.workloads.queries import load_dataset, prepare
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+
+@pytest.fixture
+def job(monkeypatch, capsys):
+    """Run ``jobs/<name>`` as ``__main__`` with the given arguments and
+    return what it printed."""
+
+    def run(name: str, *argv: str) -> str:
+        monkeypatch.setattr(sys, "argv", [name, *argv])
+        runpy.run_path(str(JOBS / name), run_name="__main__")
+        return capsys.readouterr().out
+
+    return run
+
+
+def test_table2_job(job):
+    assert job("table2.py", "--sf", "0.002") == table2.format_table(table2.rows(sf=0.002)) + "\n"
+
+
+def test_table3_job(job):
+    assert job("table3.py", "--sf", "0.001") == table3.format_table(table3.rows(sf=0.001)) + "\n"
+
+
+def test_table4_job(job):
+    out = job("table4.py", "--sf", "0.001", "--runs", "1", "--queries", "police-q1")
+    assert "guarantee violations: 0/4 runs" in out
+    (exp,) = table4.rows(sf=0.001, n_runs=1, queries=["police-q1"])
+    for v, s in exp.variants.items():  # read fractions do not depend on timing
+        assert f"police-q1   {v:<10} read={s.read_fraction:7.1%} " in out
+
+
+def test_run_query_scan_job(job):
+    out = job("run_query.py", "police-q1", "scan", "--sf", "0.001")
+    pq = prepare(load_dataset(None, "police", sf=0.001), queries.QUERIES["police-q1"])
+    assert f"top-k: {[pq.z_values[i] for i in pq.true_topk()]}\n" in out
+
+
+def test_run_query_variant_job(job):
+    out = job("run_query.py", "police-q1", "fastmatch", "--sf", "0.001", "--seed", "1")
+    assert "guarantee1=True guarantee2=True " in out
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("run_query.py", ["taxi-q3", "scan", "--sf", "0.001"]),
+        ("table4.py", ["--sf", "0.001", "--queries", "taxi-q3"]),
+    ],
+)
+def test_jobs_reject_unknown_query_ids(name, argv, job, monkeypatch, capsys):
+    monkeypatch.setattr(queries, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
+    with pytest.raises(SystemExit) as exc:
+        job(name, *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'taxi-q3'" in err and "flights-q1" in err

@@ -1,5 +1,8 @@
-"""Query specs (Table 3), load_dataset's codes and the prepare() pipeline."""
+"""Query specs (Table 3), load_dataset's codes, the prepare() pipeline
+and the walk over the queries."""
 import dataclasses
+import gc
+import weakref
 
 import duckdb
 import numpy as np
@@ -11,7 +14,7 @@ from repro.oracle import assert_equivalent
 from repro.storage.blocks import BLOCK_COL
 from repro.workloads import datasets as wd
 from repro.workloads import queries
-from repro.workloads.queries import QUERIES, QuerySpec, compute_target, prepare
+from repro.workloads.queries import QUERIES, QuerySpec, compute_target, for_each_query, prepare
 
 from .conftest import SF_TEST
 
@@ -176,3 +179,51 @@ def test_true_topk_lands_in_engineered_clusters(prepared):
         pq = prepared[qid]
         hits = sum(1 for i in pq.true_topk() if int(i) in cluster)
         assert hits >= pq.spec.k // 2, f"{qid}: only {hits} of top-k in cluster"
+
+
+def _recording_loads(monkeypatch, refs):
+    """Patch ``load_dataset`` to record each dataset it loads, and to check
+    that every dataset loaded before (weakrefs in ``refs``) is dead."""
+    loaded, real = [], queries.load_dataset
+
+    def load(spark, name, **kw):
+        gc.collect()
+        assert all(r() is None for r in refs), f"a dataset is alive while {name} is drawn"
+        loaded.append(name)
+        return real(spark, name, **kw)
+
+    monkeypatch.setattr(queries, "load_dataset", load)
+    return loaded
+
+
+def test_for_each_query_holds_one_dataset(monkeypatch):
+    """The walk draws each dataset once, in QUERIES order, with no
+    SparkSession, and frees it before drawing the next: when ``fn`` sees a
+    new dataset, every earlier one is dead."""
+    refs = []
+    loaded = _recording_loads(monkeypatch, refs)
+
+    def fn(pq):
+        gc.collect()
+        if not refs or refs[-1]() is not pq.ds:
+            assert all(r() is None for r in refs), f"{pq.spec.qid}: an earlier dataset is alive"
+            refs.append(weakref.ref(pq.ds))
+        assert pq.ds.spark is None
+        return pq.spec.qid
+
+    assert for_each_query(fn, sf=0.001) == list(QUERIES)
+    assert loaded == ["flights", "taxi", "police"]
+    assert len(refs) == 3
+
+
+def test_for_each_query_selects_in_queries_order(monkeypatch):
+    loaded = _recording_loads(monkeypatch, [])
+    got = for_each_query(lambda pq: pq.spec.qid, sf=0.001, qids=["police-q2", "flights-q3"])
+    assert got == ["flights-q3", "police-q2"]
+    assert loaded == ["flights", "police"]
+
+
+def test_for_each_query_rejects_unknown_ids_before_drawing(monkeypatch):
+    monkeypatch.setattr(queries, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
+    with pytest.raises(ValueError, match=r"\['taxi-q3'\].*flights-q1.*police-q3"):
+        for_each_query(lambda pq: None, sf=0.001, qids=["police-q1", "taxi-q3"])
