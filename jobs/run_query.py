@@ -28,8 +28,9 @@ def main() -> None:
     ap.add_argument("--eps", type=float, default=None)
     ap.add_argument("--delta", type=float, default=DELTA)
     ap.add_argument("--lookahead", type=int, default=LOOKAHEAD)
-    ap.add_argument("--start", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    first_block = ap.add_mutually_exclusive_group()
+    first_block.add_argument("--start", type=int, default=None)
+    first_block.add_argument("--seed", type=int, default=None)
     ap.add_argument("--mode", choices=["replay", "spark"], default="replay")
     args = ap.parse_args()
 

@@ -23,6 +23,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--queries", nargs="+", default=None, choices=sorted(QUERIES))
     args = ap.parse_args()
+    if args.runs < 1:
+        ap.error(f"--runs must be >= 1, got {args.runs}")
     exps = rows(sf=args.sf, n_runs=args.runs, seed=args.seed, queries=args.queries)
     print(f"\n=== Table 4 (ours; sf={args.sf}, runs={args.runs}) ===")
     print(format_table(exps))

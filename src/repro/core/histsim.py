@@ -71,11 +71,11 @@ class HistSimState:
 
     Parameters
     ----------
-    n_candidates : |V_Z| — number of candidate histograms.
     target : length-|V_X| target vector Q (normalized internally).
     k, eps, delta : the user parameters of Problem 1.
-    totals : length-|V_Z| tuple counts N_i of the full data; candidate i
-        is exhausted once n_i = N_i.
+    totals : length-|V_Z| tuple counts N_i of the full data, one per
+        candidate histogram (so |V_Z| is ``len(totals)``); candidate i is
+        exhausted once n_i = N_i.
 
     Each :meth:`iterate` overwrites the current iteration's statistics:
     ``tau`` (τ_i, updated in place at the rows whose n_i moved),
@@ -84,21 +84,20 @@ class HistSimState:
     ``delta_i`` and ``delta_upper`` (Σδ_i).
     """
 
-    def __init__(self, n_candidates: int, target, k: int, eps: float, delta: float, totals):
-        if n_candidates < 1:
-            raise ValueError("need at least one candidate")
+    def __init__(self, target, k: int, eps: float, delta: float, totals):
+        totals = np.asarray(totals, dtype=np.int64)
+        if totals.ndim != 1 or len(totals) < 1:
+            raise ValueError(f"totals must be one count per candidate, got shape {totals.shape}")
+        n_candidates = len(totals)
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
         if not 1 <= k <= n_candidates:
             raise ValueError(f"k must be in [1, {n_candidates}], got {k}")
-        totals = np.asarray(totals, dtype=np.int64)
-        if totals.shape != (n_candidates,):
-            raise ValueError(f"totals must have shape ({n_candidates},), got {totals.shape}")
         self.qhat = normalize_target(target)
         self.d = int(self.qhat.shape[0])
-        self.n_candidates = int(n_candidates)
+        self.n_candidates = n_candidates
         self.k = int(k)
         self.eps = float(eps)
         self.delta = float(delta)

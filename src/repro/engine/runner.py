@@ -148,7 +148,7 @@ def run_variant(
         fetch = pq.counts_index.gather
 
     wall0 = time.perf_counter()
-    state = HistSimState(pq.n_candidates, pq.target, pq.spec.k, eps, delta, pq.totals)
+    state = HistSimState(pq.target, pq.spec.k, eps, delta, pq.totals)
 
     order = np.roll(np.arange(n_blocks, dtype=np.int64), -start_block)
     batch_size = 1 if spec.per_block else lookahead

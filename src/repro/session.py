@@ -4,10 +4,15 @@ from __future__ import annotations
 import os
 
 
+#: Where a container's memory limit may be read: cgroup v2, then v1.
+CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
-    Precedence: SPARK_DRIVER_MEM env > cgroup v2/v1 limit > 48g fallback.
+    Precedence: SPARK_DRIVER_MEM env > cgroup v2/v1 limit > half of
+    physical memory, clamped to 2–8g (the rule of the tier-1 test command).
     The cgroup read is best-effort: a container runtime's sysfs emulation
     may not pass the host limit through, and an unbounded value (cgroup
     v1's ~9.2e18 "unlimited" sentinel) is treated as absent so the JVM is
@@ -15,7 +20,7 @@ def _driver_mem() -> str:
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+    for p in CGROUP_LIMITS:
         try:
             raw = open(p).read().strip()
             if not raw or raw == "max":
@@ -28,7 +33,8 @@ def _driver_mem() -> str:
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    half_gib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (1 << 31)
+    return f"{min(8, max(2, half_gib))}g"
 
 
 def get_spark(app_name: str):

@@ -42,10 +42,11 @@ def build_bitmap(df: DataFrame, z: str, *, z_values: list, n_blocks: int) -> np.
     return out
 
 
-def bitmap_from_index(idx: BlockCountsIndex) -> np.ndarray:
-    """The packed bitmap, set bit by bit from the counts index's codes
-    (no Spark job, and no unpacked n_blocks × |V_Z| matrix)."""
-    out = np.zeros((idx.n_blocks, -(-len(idx.z_values) // 8)), dtype=np.uint8)
+def bitmap_from_index(idx: BlockCountsIndex, n_z: int) -> np.ndarray:
+    """The packed bitmap of the ``n_z`` = |V_Z| candidates, set bit by bit
+    from the counts index's codes (no Spark job, and no unpacked
+    n_blocks × |V_Z| matrix)."""
+    out = np.zeros((idx.n_blocks, -(-n_z // 8)), dtype=np.uint8)
     z = idx.z_idx
     block_of = block_ids(len(z), idx.tuples_per_block)
     np.bitwise_or.at(out, (block_of, z >> 3), (0x80 >> (z & 7)).astype(np.uint8))

@@ -104,10 +104,10 @@ class BlockCountsIndex:
     one row format: the exact Scan, ground truth and every replay batch
     read it.  Block ``b`` is rows ``[b·tpb, min((b+1)·tpb, n))``, so the
     full blocks are the rows of ``cells`` viewed as ``(-1, tpb)`` up to
-    the partial final block.
+    the partial final block; ``n_blocks`` is counted from ``cells``.
     ``z_idx`` and ``x_idx`` are the dataset's code arrays themselves, not
-    copies; only the bitmap build reads them.  ``z_values`` / ``x_values``
-    give the index → value mapping used throughout the engine.
+    copies; only the bitmap build reads them.  The vocabularies they
+    index stay with the dataset (``DatasetMeta.value_sets``).
 
     ``offsets`` and ``cnt`` are not used by the program: they stay, as a
     computed array and a zero-copy view of ones, only because
@@ -115,9 +115,6 @@ class BlockCountsIndex:
     the block store (ROADMAP direction 1).
     """
 
-    z_values: list
-    x_values: list
-    n_blocks: int
     tuples_per_block: int
     cells: np.ndarray  # (n,) int32, read-only
     z_idx: np.ndarray  # (n,) int32
@@ -125,6 +122,7 @@ class BlockCountsIndex:
 
     def __post_init__(self) -> None:
         tpb = self.tuples_per_block
+        self.n_blocks = count_blocks(len(self.cells), tpb)  # raises unless tpb >= 1
         end = len(self.cells) - len(self.cells) % tpb
         self._rows = self.cells[:end].reshape(-1, tpb)
         # The final block when it is partial (empty otherwise), id len(_rows).
@@ -163,22 +161,17 @@ def exact_counts(cells: np.ndarray, n_z: int, n_x: int) -> np.ndarray:
 
 
 def build_counts_index(
-    z_codes: np.ndarray,
-    x_codes: np.ndarray,
-    *,
-    z_values: list,
-    x_values: list,
-    tuples_per_block: int,
+    z_codes: np.ndarray, x_codes: np.ndarray, *, n_z: int, n_x: int, tuples_per_block: int
 ) -> BlockCountsIndex:
     """The replay-mode block store over the rows' codes (blocks as
     :func:`block_ids` assigns them; tested against the DuckDB oracle).
 
     Raises ``ValueError`` on ``tuples_per_block < 1``, a z code outside
-    [0, |V_Z|), an x code outside [0, |V_X|) or |V_Z|·|V_X| ≥ 2³¹: this one
-    check over the whole store is what lets every batch merge its cells
+    [0, n_z), an x code outside [0, n_x) or n_z·n_x ≥ 2³¹: this one check
+    over the whole store is what lets every batch merge its cells
     unchecked.
     """
-    n_z, n_x, n = len(z_values), len(x_values), len(z_codes)
+    n = len(z_codes)
     if len(x_codes) != n:
         raise ValueError(f"z and x codes differ in length: {n} and {len(x_codes)}")
     if n_z * n_x >= 2**31:
@@ -189,12 +182,4 @@ def build_counts_index(
     cells = z_codes.astype(np.int32) * np.int32(n_x)
     cells += x_codes
     cells.flags.writeable = False
-    return BlockCountsIndex(
-        z_values=list(z_values),
-        x_values=list(x_values),
-        n_blocks=count_blocks(n, tuples_per_block),
-        tuples_per_block=tuples_per_block,
-        cells=cells,
-        z_idx=z_codes,
-        x_idx=x_codes,
-    )
+    return BlockCountsIndex(tuples_per_block, cells, z_codes, x_codes)

@@ -117,7 +117,10 @@ def rows(
     *, sf: float, n_runs: int = DEFAULT_RUNS, seed: int = 0, queries=None
 ) -> list[QueryExperiment]:
     """Run the Table 4 grid: every query (or those in ``queries``) × every
-    variant."""
+    variant.  Raises ``ValueError`` on ``n_runs < 1`` before drawing
+    anything."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     return for_each_query(
         partial(run_query_experiment, n_runs=n_runs, seed=seed), sf=sf, qids=queries
     )

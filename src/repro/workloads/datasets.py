@@ -437,7 +437,7 @@ def n_rows_at(sf: float) -> int:
     return max(1, int(N_ROWS_PER_SF * sf))
 
 
-def draw(name: str, *, sf: float = 0.01, seed: int | None = None) -> tuple[dict, DatasetMeta]:
+def draw(name: str, *, sf: float, seed: int | None = None) -> tuple[dict, DatasetMeta]:
     """Draw a dataset by name → (query attribute → int32 codes into
     ``meta.value_sets``, in row order; meta); ``seed=None`` takes the
     dataset's own default seed."""
@@ -469,7 +469,7 @@ def decode_frame(codes: dict, value_sets: dict, tuples_per_block: int) -> pd.Dat
 def generate(
     name: str,
     *,
-    sf: float = 0.01,
+    sf: float,
     tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK,
     seed: int | None = None,
 ) -> tuple[pd.DataFrame, DatasetMeta]:

@@ -92,15 +92,26 @@ QUERIES: dict[str, QuerySpec] = {
 
 @dataclass
 class LoadedDataset:
-    """A generated dataset's codes in block order, and its Spark relation."""
+    """A generated dataset's codes in block order, and its Spark relation.
+    ``name`` and ``n_rows`` are ``meta``'s; ``n_blocks`` is counted once, by
+    :func:`~repro.storage.blocks.count_blocks` (``ValueError`` unless
+    ``tuples_per_block >= 1``)."""
 
-    name: str
     meta: DatasetMeta
-    n_rows: int
     tuples_per_block: int
-    n_blocks: int
     codes: dict = field(repr=False)  # column → read-only int32 codes, row (= block) order
     spark: SparkSession | None = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.n_blocks = count_blocks(self.meta.n_rows, self.tuples_per_block)
+
+    @property
+    def name(self) -> str:
+        return self.meta.name
+
+    @property
+    def n_rows(self) -> int:
+        return self.meta.n_rows
 
     @cached_property
     def sdf(self) -> DataFrame:
@@ -128,28 +139,36 @@ def load_dataset(
     codes, meta = draw(name, sf=sf, seed=seed)
     for a in codes.values():
         a.flags.writeable = False  # block stores range-check them once, when built
-    return LoadedDataset(
-        name=name, meta=meta, n_rows=meta.n_rows, tuples_per_block=tuples_per_block,
-        n_blocks=count_blocks(meta.n_rows, tuples_per_block),
-        codes=codes, spark=spark,
-    )
+    return LoadedDataset(meta, tuples_per_block, codes, spark)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedQuery:
-    """Everything a variant run needs for one query."""
+    """Everything a variant run needs for one query: frozen, with read-only
+    arrays, as every run of it shares them.  The vocabularies are the
+    dataset's (``ds.meta.value_sets``); |V_Z| and |V_X| are their lengths."""
 
     spec: QuerySpec
     ds: LoadedDataset
-    z_values: list
-    x_values: list
     target: np.ndarray          # length |V_X|, aligned with x_values
     target_desc: str
-    counts_index: BlockCountsIndex = field(repr=False, default=None)
-    bitmap_t: np.ndarray = field(repr=False, default=None)  # packed uint8, n_blocks × ⌈|V_Z|/8⌉
-    exact_counts: np.ndarray = field(repr=False, default=None)
-    totals: np.ndarray = field(repr=False, default=None)  # read-only int64 N_i: exact_counts' row sums
-    tau_star: np.ndarray = field(repr=False, default=None)
+    counts_index: BlockCountsIndex = field(repr=False)
+    bitmap_t: np.ndarray = field(repr=False)  # packed uint8, n_blocks × ⌈|V_Z|/8⌉
+    exact_counts: np.ndarray = field(repr=False)
+    totals: np.ndarray = field(repr=False)  # int64 N_i: exact_counts' row sums
+    tau_star: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for a in (self.target, self.bitmap_t, self.exact_counts, self.totals, self.tau_star):
+            a.flags.writeable = False
+
+    @property
+    def z_values(self) -> list:
+        return self.ds.meta.value_sets[self.spec.z]
+
+    @property
+    def x_values(self) -> list:
+        return self.ds.meta.value_sets[self.spec.x]
 
     @property
     def bitmap(self) -> np.ndarray:
@@ -201,31 +220,18 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
     """
     if spec.dataset != ds.name:
         raise ValueError(f"query {spec.qid} does not belong to dataset {ds.name}")
-    z_values = list(ds.meta.value_sets[spec.z])
-    x_values = list(ds.meta.value_sets[spec.x])
+    z_values, x_values = ds.meta.value_sets[spec.z], ds.meta.value_sets[spec.x]
+    n_z, n_x = len(z_values), len(x_values)
     idx = build_counts_index(
-        ds.codes[spec.z],
-        ds.codes[spec.x],
-        z_values=z_values,
-        x_values=x_values,
+        ds.codes[spec.z], ds.codes[spec.x], n_z=n_z, n_x=n_x,
         tuples_per_block=ds.tuples_per_block,
     )
-    exact = exact_counts(idx.cells, len(z_values), len(x_values))
-    totals = exact.sum(axis=1, dtype=np.int64)
-    totals.flags.writeable = False  # every run's HistSimState shares it
+    exact = exact_counts(idx.cells, n_z, n_x)
     target, desc = compute_target(spec, z_values, x_values, exact)
     return PreparedQuery(
-        spec=spec,
-        ds=ds,
-        z_values=z_values,
-        x_values=x_values,
-        target=target,
-        target_desc=desc,
-        counts_index=idx,
-        bitmap_t=bitmap_from_index(idx),
-        exact_counts=exact,
-        totals=totals,
-        tau_star=l1_distances(exact, target),
+        spec=spec, ds=ds, target=target, target_desc=desc, counts_index=idx,
+        bitmap_t=bitmap_from_index(idx, n_z), exact_counts=exact,
+        totals=exact.sum(axis=1, dtype=np.int64), tau_star=l1_distances(exact, target),
     )
 
 

@@ -42,11 +42,11 @@ def test_bitmap_from_index_equals_spark_build(fl_bitmap):
     idx = build_counts_index(
         ds.codes["origin"],
         ds.codes["departure_hour"],
-        z_values=ds.meta.value_sets["origin"],
-        x_values=ds.meta.value_sets["departure_hour"],
+        n_z=161,
+        n_x=24,
         tuples_per_block=ds.tuples_per_block,
     )
-    np.testing.assert_array_equal(np.unpackbits(bitmap_from_index(idx), axis=1, count=161), bm)
+    np.testing.assert_array_equal(np.unpackbits(bitmap_from_index(idx, 161), axis=1, count=161), bm)
 
 
 def test_bitmap_unknown_value_raises(datasets):

@@ -26,7 +26,7 @@ def test_layout_rejects_bad_tuples_per_block():
     for build in (
         lambda: count_blocks(10, 0),
         lambda: block_ids(10, -1),
-        lambda: build_counts_index(one, one, z_values=[0], x_values=[0], tuples_per_block=0),
+        lambda: build_counts_index(one, one, n_z=1, n_x=1, tuples_per_block=0),
         lambda: load_dataset(None, "police", sf=0.001, tuples_per_block=0),
     ):
         with pytest.raises(ValueError, match="tuples_per_block"):
@@ -79,8 +79,8 @@ def fl_index(datasets):
     return ds, build_counts_index(
         ds.codes["origin"],
         ds.codes["day_of_week"],
-        z_values=ds.meta.value_sets["origin"],
-        x_values=ds.meta.value_sets["day_of_week"],
+        n_z=len(ds.meta.value_sets["origin"]),
+        n_x=len(ds.meta.value_sets["day_of_week"]),
         tuples_per_block=ds.tuples_per_block,
     )
 
@@ -102,11 +102,12 @@ def test_index_exact_counts_match_spark(fl_index):
     pdf = (
         ds.sdf.groupBy("origin", "day_of_week").count().toPandas()
     )
-    exact = exact_counts(idx.cells, len(idx.z_values), len(idx.x_values))
-    origins = {v: i for i, v in enumerate(idx.z_values)}
+    z_values, x_values = ds.meta.value_sets["origin"], ds.meta.value_sets["day_of_week"]
+    exact = exact_counts(idx.cells, len(z_values), len(x_values))
+    origins = {v: i for i, v in enumerate(z_values)}
     for _, row in pdf.iterrows():
         zi = origins[row["origin"]]
-        xi = idx.x_values.index(row["day_of_week"])
+        xi = x_values.index(row["day_of_week"])
         assert exact[zi, xi] == row["count"]
     assert exact.sum() == ds.n_rows
 
@@ -115,7 +116,7 @@ def test_index_packs_codes(fl_index):
     """``cells`` is the read-only int32 ``z·|V_X| + x`` of every row, and
     ``cnt`` a read-only view of ones that allocates no row of its own."""
     ds, idx = fl_index
-    d = len(idx.x_values)
+    d = len(ds.meta.value_sets["day_of_week"])
     assert idx.cells.dtype == np.int32 and not idx.cells.flags.writeable
     np.testing.assert_array_equal(idx.cells, idx.z_idx.astype(np.int64) * d + idx.x_idx)
     assert len(idx.cnt) == ds.n_rows and idx.cnt.nbytes == 8 * ds.n_rows
@@ -143,8 +144,7 @@ def test_build_counts_index_rejects_out_of_range(z, x, n_z, n_x, match):
     with pytest.raises(ValueError, match=match):
         build_counts_index(
             np.array(z, dtype=np.int32), np.array(x, dtype=np.int32),
-            z_values=list(range(n_z)), x_values=list(range(n_x)),
-            tuples_per_block=2,
+            n_z=n_z, n_x=n_x, tuples_per_block=2,
         )
 
 
@@ -193,7 +193,7 @@ def test_spark_gather_equals_store_gather(police_small):
     distinct = [b for b in _gather_cases(idx.n_blocks) if len(np.unique(b)) == len(b)]
     assert len(distinct) == 7
     for blocks in distinct:
-        cells = spark_gather(sdf, pq.spec.z, pq.spec.x, idx.z_values, idx.x_values, blocks)
+        cells = spark_gather(sdf, pq.spec.z, pq.spec.x, pq.z_values, pq.x_values, blocks)
         assert cells.dtype == np.int32
         np.testing.assert_array_equal(np.sort(cells), np.sort(idx.gather(blocks)))
 
@@ -202,14 +202,14 @@ def _block_rows_vs_duckdb(pq, data):
     """Every block's rows from ``gather([b])``, decoded from its cells,
     against DuckDB's ``GROUP BY _block_id, z, x`` over ``data``."""
     z, x, idx = pq.spec.z, pq.spec.x, pq.counts_index
-    d = len(idx.x_values)
+    d = pq.d
     blocks = [idx.gather([b]) for b in range(idx.n_blocks)]
     cells = np.concatenate(blocks)
     got = (
         pd.DataFrame({
             BLOCK_COL: np.repeat(np.arange(idx.n_blocks), [len(c) for c in blocks]),
-            z: np.asarray(idx.z_values)[cells // d],
-            x: np.asarray(idx.x_values)[cells % d],
+            z: np.asarray(pq.z_values)[cells // d],
+            x: np.asarray(pq.x_values)[cells % d],
         })
         .groupby([BLOCK_COL, z, x], as_index=False).size()
         .rename(columns={"size": "cnt"})

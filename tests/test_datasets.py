@@ -106,7 +106,7 @@ def test_empirical_conditional_tracks_profile(gen):
 
 def test_unknown_dataset_raises():
     with pytest.raises(ValueError):
-        wd.generate("nope")
+        wd.generate("nope", sf=0.001)
 
 
 # -- engineered geometry -----------------------------------------------------

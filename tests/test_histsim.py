@@ -13,8 +13,8 @@ BIG = 10**12
 
 
 def make_state(n_cand=5, d=4, k=2, eps=0.2, delta=0.01, target=None, totals=None):
+    """A state over ``n_cand`` candidates: |V_Z| is ``len(totals)``."""
     return HistSimState(
-        n_cand,
         target if target is not None else np.ones(d),
         k,
         eps,
@@ -29,13 +29,13 @@ def make_state(n_cand=5, d=4, k=2, eps=0.2, delta=0.01, target=None, totals=None
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(n_cand=0),
+        dict(totals=[]),
         dict(k=0),
         dict(k=6),
         dict(eps=0.0),
         dict(delta=0.0),
         dict(delta=1.0),
-        dict(n_cand=3, totals=[BIG, BIG]),
+        dict(totals=[[BIG, BIG], [BIG, BIG]]),
     ],
 )
 def test_bad_construction(kwargs):
@@ -183,7 +183,7 @@ def test_simulated_run_returns_correct_topk(seed):
         far = rng.dirichlet(np.ones(d))
         truth[i] = (1 - mix) * target + mix * far
         truth[i] /= truth[i].sum()
-    st = HistSimState(n_cand, target, k, eps, delta, np.full(n_cand, BIG))
+    st = HistSimState(target, k, eps, delta, np.full(n_cand, BIG))
     for _ in range(3000):
         for i in range(n_cand):
             draw = rng.multinomial(40, truth[i])
@@ -292,7 +292,7 @@ def test_incremental_matches_full_recompute(case, k_pick):
     exhaust = rng.random(n_cand) < 1 / 3
     exhaust[0] = True
     totals = np.where(exhaust, final.sum(axis=1), BIG)
-    st = HistSimState(n_cand, target, k, 0.2, 0.05, totals)
+    st = HistSimState(target, k, 0.2, 0.05, totals)
     counts = np.zeros((n_cand, d), dtype=np.int64)
     for z, x, cnt in stream:
         st.update(z, x, cnt)
@@ -357,7 +357,7 @@ def test_merge_rows_matches_checked_update(case):
     final = np.bincount(np.concatenate([z for z, _ in rows]), minlength=n_cand)
     totals = np.where(rng.random(n_cand) < 1 / 3, final, BIG)  # some end exhausted
     k = max(1, n_cand // 3)
-    checked, st = (HistSimState(n_cand, target, k, 0.2, 0.05, totals) for _ in range(2))
+    checked, st = (HistSimState(target, k, 0.2, 0.05, totals) for _ in range(2))
     ref_counts = np.zeros((n_cand, d), dtype=np.int64)
     ref_n = np.zeros(n_cand, dtype=np.int64)
     for step, (z, x) in enumerate(rows):

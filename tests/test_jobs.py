@@ -1,5 +1,6 @@
 """The command-line jobs, run as scripts with no Spark, print what the
-library computes, and reject unknown query ids before drawing anything."""
+library computes, and reject unknown query ids and bad arguments before
+drawing anything."""
 import runpy
 import sys
 from pathlib import Path
@@ -67,3 +68,23 @@ def test_jobs_reject_unknown_query_ids(name, argv, job, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice: 'taxi-q3'" in err and "flights-q1" in err
+
+
+@pytest.mark.parametrize(
+    "name,argv,message",
+    [
+        ("run_query.py", ["police-q1", "fastmatch", "--sf", "0.001", "--start", "0", "--seed", "5"],
+         "not allowed with argument"),
+        ("table4.py", ["--sf", "0.001", "--runs", "0", "--queries", "police-q1"],
+         "--runs must be >= 1"),
+    ],
+    ids=["start-and-seed", "zero-runs"],
+)
+def test_jobs_reject_bad_arguments(name, argv, message, job, monkeypatch, capsys):
+    """``--start`` and ``--seed`` are exclusive, and ``--runs`` must be at
+    least 1: either mistake exits 2 before a dataset is drawn."""
+    monkeypatch.setattr(queries, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
+    with pytest.raises(SystemExit) as exc:
+        job(name, *argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

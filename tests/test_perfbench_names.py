@@ -1,11 +1,13 @@
-"""The program names the traced benchmark run wraps or reads still exist.
+"""The program names the benchmark wraps or reads still exist.
 
 ``perfbench/spans.py`` wraps its ``TARGETS`` by name and reads index
-fields of each prepared query; a name deleted from the program would
-otherwise break only ``perfbench/run.py --trace 1``.  The module is
-compiled from its source, so the check writes nothing under
+fields of each prepared query, and ``perfbench/run.py`` reads fields of
+each prepared query and loaded dataset; a name deleted from the program
+would otherwise break only a benchmark run.  The modules are read or
+compiled from their source, so the checks write nothing under
 ``perfbench/``.
 """
+import ast
 import types
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 from repro.engine import runner
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+RUN = SPANS.with_name("run.py")
 
 
 def _spans():
@@ -40,6 +43,41 @@ def test_prepared_query_has_layer_fields(prepared):
         assert isinstance(getattr(idx, name), np.ndarray), name
     for name in ("bitmap", "bitmap_t"):
         assert isinstance(getattr(pq, name), np.ndarray), name
+
+
+def _reads(path: Path) -> set:
+    """``(kind, attr)`` for each ``pq.attr`` / ``pqs[...].attr`` (kind
+    ``"pq"``) and ``ds.attr`` / ``<pq>.ds.attr`` (kind ``"ds"``) in the
+    source at ``path``."""
+
+    def kind(node):
+        if isinstance(node, ast.Name) and node.id in ("pq", "ds"):
+            return node.id
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            return "pq" if node.value.id == "pqs" else None
+        if isinstance(node, ast.Attribute) and node.attr == "ds" and kind(node.value) == "pq":
+            return "ds"
+        return None
+
+    return {
+        (kind(node.value), node.attr)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and kind(node.value)
+    }
+
+
+def test_benchmark_reads_existing_fields(flights_pq):
+    """Every attribute ``perfbench/run.py`` and ``perfbench/spans.py`` read
+    from a prepared query or its dataset is a field, an attribute set at
+    construction, or a property or method of its class (looked up without
+    evaluating it, so no Spark relation is built)."""
+    reads = _reads(RUN) | _reads(SPANS)
+    assert {("pq", "z_values"), ("pq", "bitmap_t"), ("ds", "n_rows"), ("ds", "n_blocks"),
+            ("ds", "sdf")} <= reads
+    objs = {"pq": flights_pq, "ds": flights_pq.ds}
+    for k, attr in sorted(reads):
+        obj = objs[k]
+        assert attr in vars(obj) or hasattr(type(obj), attr), f"{k}.{attr}"
 
 
 def test_tracer_records_statistics_spans(flights_pq):

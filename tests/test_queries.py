@@ -54,6 +54,39 @@ def test_prepare_ground_truth_consistency(qid, prepared):
     assert len(pq.true_topk()) == pq.spec.k
 
 
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_prepared_query_derives_sizes_and_vocabularies(qid, prepared):
+    """Each size and vocabulary is stored once: the dataset's name, row and
+    block counts come from its metadata and codes, the store's block count
+    from its cells, and the query's vocabularies are the dataset's own."""
+    pq = prepared[qid]
+    ds, spec = pq.ds, pq.spec
+    assert ds.name == ds.meta.name == spec.dataset
+    assert ds.n_rows == len(ds.codes[spec.z]) == len(pq.counts_index.cells)
+    tpb = ds.tuples_per_block
+    assert ds.n_blocks == (ds.n_rows + tpb - 1) // tpb == pq.counts_index.n_blocks
+    assert pq.z_values is ds.meta.value_sets[spec.z]
+    assert pq.x_values is ds.meta.value_sets[spec.x]
+    assert (pq.n_candidates, pq.d) == pq.exact_counts.shape
+
+
+def test_prepared_query_is_frozen_and_read_only(flights_pq):
+    """A prepared query is shared by every run of it: no field can be
+    rebound, and none of its ground-truth arrays can be written."""
+    pq = flights_pq
+    for f in dataclasses.fields(pq):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pq, f.name, None)
+    for name in ("exact_counts", "target", "bitmap_t", "tau_star", "totals"):
+        a = getattr(pq, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        pq.bitmap[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        pq.counts_index.cells[0] = 1
+
+
 def test_candidate_target_has_zero_distance(prepared):
     for qid in ("flights-q1", "flights-q2"):
         pq = prepared[qid]

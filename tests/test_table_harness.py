@@ -76,3 +76,9 @@ def test_table4_rejects_unknown_query_ids(monkeypatch):
     monkeypatch.setattr(queries, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
     with pytest.raises(ValueError, match="taxi-q3.*flights-q1"):
         table4.rows(sf=0.001, n_runs=1, queries=["taxi-q3"])
+
+
+def test_table4_rejects_zero_runs_before_drawing(monkeypatch):
+    monkeypatch.setattr(queries, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
+    with pytest.raises(ValueError, match="n_runs must be >= 1, got 0"):
+        table4.rows(sf=0.001, n_runs=0, queries=["police-q1"])
