@@ -5,5 +5,5 @@
 * :mod:`repro.workloads.queries` — the nine Table 3 query specs and
   target computation, plus :func:`repro.workloads.queries.prepare`
   which builds everything a run needs from the drawn codes, with
-  no Spark job (vocabularies, bitmap, counts index, exact ground truth).
+  no Spark job, as one frozen record (counts index, bitmap, ground truth).
 """
