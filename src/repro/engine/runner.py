@@ -21,9 +21,9 @@ FastMatch without lookahead, as in the paper.
 
 Two execution modes share this loop, which picks its fetch once:
 
-* ``mode="spark"`` — each batch's selected blocks are fetched with a
-  real Spark filter + ``GROUP BY`` job (the distributed sample+aggregate
-  path, :func:`~repro.storage.blocks.spark_gather`);
+* ``mode="spark"`` — each batch's selected blocks' rows are fetched
+  with one real Spark job, a filter and projection with no aggregation
+  (:func:`~repro.storage.blocks.spark_gather`);
 * ``mode="replay"`` — each batch is one row take from the fixed-size
   block store :class:`~repro.storage.blocks.BlockCountsIndex`, all in
   driver memory, so a run's wall time is what Table 4 compares with the

@@ -38,12 +38,13 @@ def _driver_mem() -> str:
 
 
 def get_spark(app_name: str):
-    """A local SparkSession: 64 shuffle partitions, Arrow on, broadcast off.
+    """A local SparkSession: 64 shuffle partitions, Arrow on.
 
     Master and driver memory are JVM launch options, read from
     ``PYSPARK_SUBMIT_ARGS`` when ``getOrCreate`` starts the JVM, so they
-    are set first.  Broadcast joins are off so aggregations take the
-    shuffle path even at small SF.
+    are set first.  No spark-mode fetch aggregates: the shuffle partitions
+    serve only the tests' reference aggregations, ``build_bitmap``'s
+    distinct and the Spark ``GROUP BY`` checks.
     """
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
@@ -58,7 +59,6 @@ def get_spark(app_name: str):
         SparkSession.builder.appName(app_name)
         .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

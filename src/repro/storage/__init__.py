@@ -8,6 +8,6 @@ blocks and one assigns each row its block id.  Each query's rows are
 packed into one int32 ``z·|V_X| + x`` cell per row, a fixed-size block
 store: the exact Scan counts all the cells and each replay batch reads
 its blocks' cells with one row take; the bitmap index is derived from
-the codes.  Spark-mode batches run one Spark ``GROUP BY z, x`` over the
-selected blocks of the lazily built relation, the same codes decoded.
+the codes.  Spark-mode batches fetch, unaggregated, the rows of the
+selected blocks of the lazily built relation, packed into the same cells.
 """

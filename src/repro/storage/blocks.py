@@ -1,4 +1,4 @@
-"""Blocked data layout, the replay-mode block store and block aggregation.
+"""Blocked data layout, the replay-mode block store and the spark-mode fetch.
 
 FastMatch's I/O manager reads fixed-size blocks of a randomly permuted
 row-store.  Block ``b`` is rows ``[b·tpb, (b+1)·tpb)`` of the generated
@@ -14,10 +14,10 @@ block store (:class:`BlockCountsIndex`): each row is packed once into an
 int32 cell ``z·|V_X| + x``, range-checked once at build time, so reading
 a batch is one row take and merging it needs no conversion or check.
 :func:`exact_counts` counts all the cells in one ``bincount`` (ground
-truth and the exact Scan).  Spark-mode batches (:func:`spark_gather`) run
-:func:`block_counts`, a ``GROUP BY z, x`` over the selected blocks of the
-Spark relation, guard the values it returns with :func:`encode` and hand
-back the same packed cells, so both modes' batches merge alike.
+truth and the exact Scan).  Spark-mode batches (:func:`spark_gather`)
+fetch the selected blocks' rows with :func:`block_rows`, which does not
+aggregate, guard their values with :func:`encode` and hand back the same
+packed cells, one per row: both modes' batches are counted when merged.
 """
 from __future__ import annotations
 
@@ -69,14 +69,10 @@ def encode(values, vocabulary: list, column: str) -> np.ndarray:
     return codes.astype(np.int32)
 
 
-def block_counts(df: DataFrame, z: str, x: str, block_ids) -> DataFrame:
-    """Sampled-block aggregation: counts per (candidate, bin).
-
-    This is the distributed sample+aggregate round: filter to the blocks
-    the sampling engine selected, then ``GROUP BY z, x``.
-    """
-    df = df.filter(F.col(BLOCK_COL).isin([int(b) for b in block_ids]))
-    return df.groupBy(z, x).agg(F.count(F.lit(1)).alias("cnt"))
+def block_rows(df: DataFrame, z: str, x: str, block_ids) -> DataFrame:
+    """The ``(z, x)`` values of every row of the blocks ``block_ids``: one
+    filter on ``_block_id`` and a projection, with no aggregation."""
+    return df.filter(F.col(BLOCK_COL).isin([int(b) for b in block_ids])).select(z, x)
 
 
 def spark_gather(
@@ -84,16 +80,14 @@ def spark_gather(
 ) -> np.ndarray:
     """A spark-mode batch fetch in the block store's format: the int32
     cells ``z·|V_X| + x`` of the distinct blocks ``block_ids`` as a
-    multiset, from one :func:`block_counts` job.
+    multiset, one per row, from one :func:`block_rows` job.
 
     Raises ``ValueError`` if a fetched row holds a NULL or a value outside
     its vocabulary (:func:`encode`).  Each distinct id is read once, as
     ``isin`` matches it once; the round loop never repeats one.
     """
-    pdf = block_counts(df, z, x, block_ids).toPandas()
-    cells = encode(pdf[z], z_values, z) * np.int32(len(x_values))
-    cells += encode(pdf[x], x_values, x)
-    return np.repeat(cells, pdf["cnt"].to_numpy())
+    pdf = block_rows(df, z, x, block_ids).toPandas()
+    return encode(pdf[z], z_values, z) * np.int32(len(x_values)) + encode(pdf[x], x_values, x)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pandas as pd
 
-from repro.storage.blocks import BLOCK_COL, block_ids
+from repro.storage.blocks import BLOCK_COL, block_ids, count_blocks
 
 N_ROWS_PER_SF = 6_000_000
 DEFAULT_TUPLES_PER_BLOCK = 32
@@ -433,7 +433,9 @@ DATASETS = {
 
 
 def n_rows_at(sf: float) -> int:
-    """Rows at scale factor ``sf``: ``N_ROWS_PER_SF`` per unit, at least one."""
+    """Rows at scale factor ``sf`` (finite, > 0): ``N_ROWS_PER_SF`` per unit, at least one."""
+    if not (0 < sf < np.inf):
+        raise ValueError(f"sf must be finite and > 0, got {sf}")
     return max(1, int(N_ROWS_PER_SF * sf))
 
 
@@ -473,6 +475,7 @@ def generate(
     tuples_per_block: int = DEFAULT_TUPLES_PER_BLOCK,
     seed: int | None = None,
 ) -> tuple[pd.DataFrame, DatasetMeta]:
-    """:func:`draw` decoded by :func:`decode_frame`."""
+    """:func:`draw` decoded by :func:`decode_frame`, its arguments checked first."""
+    count_blocks(n_rows_at(sf), tuples_per_block)
     columns, meta = draw(name, sf=sf, seed=seed)
     return decode_frame(columns, meta.value_sets, tuples_per_block), meta

@@ -40,7 +40,7 @@ from repro.storage.bitmap import bitmap_from_index
 from repro.storage.blocks import (
     BlockCountsIndex, build_counts_index, count_blocks, encode, exact_counts,
 )
-from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, decode_frame, draw
+from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, DatasetMeta, decode_frame, draw, n_rows_at
 # generate is not called here; perfbench/spans.py wraps queries.generate by name.
 from repro.workloads.datasets import generate  # noqa: F401
 
@@ -135,7 +135,9 @@ def load_dataset(
     seed: int | None = None,
 ) -> LoadedDataset:
     """Draw one dataset and keep its vocabulary codes.  ``spark`` is used
-    only if the Spark relation is read; pass ``None`` for replay mode."""
+    only if the Spark relation is read; pass ``None`` for replay mode.
+    A bad ``sf`` or ``tuples_per_block`` raises before the draw."""
+    count_blocks(n_rows_at(sf), tuples_per_block)
     codes, meta = draw(name, sf=sf, seed=seed)
     for a in codes.values():
         a.flags.writeable = False  # block stores range-check them once, when built

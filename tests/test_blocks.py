@@ -7,8 +7,8 @@ import pytest
 from repro.oracle import assert_equivalent
 from repro.storage.blocks import (
     BLOCK_COL,
-    block_counts,
     block_ids,
+    block_rows,
     build_counts_index,
     count_blocks,
     encode,
@@ -16,18 +16,23 @@ from repro.storage.blocks import (
     spark_gather,
 )
 from repro.workloads import datasets as wd
+from repro.workloads import queries
 from repro.workloads.queries import QUERIES, load_dataset, prepare
 
 
-def test_layout_rejects_bad_tuples_per_block():
+def test_layout_rejects_bad_tuples_per_block(monkeypatch):
     """``count_blocks`` holds the one ``tuples_per_block >= 1`` check, and
-    every builder of the layout raises through it."""
+    every builder of the layout raises through it, the dataset loaders
+    before they draw."""
+    for module in (queries, wd):
+        monkeypatch.setattr(module, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
     one = np.zeros(1, dtype=np.int32)
     for build in (
         lambda: count_blocks(10, 0),
         lambda: block_ids(10, -1),
         lambda: build_counts_index(one, one, n_z=1, n_x=1, tuples_per_block=0),
-        lambda: load_dataset(None, "police", sf=0.001, tuples_per_block=0),
+        lambda: load_dataset(None, "taxi", sf=0.4, tuples_per_block=0),
+        lambda: wd.generate("taxi", sf=0.4, tuples_per_block=0),
     ):
         with pytest.raises(ValueError, match="tuples_per_block"):
             build()
@@ -41,32 +46,46 @@ def test_add_block_ids_positions():
     assert pdf[BLOCK_COL].iloc[-1] == (meta.n_rows - 1) // 3
 
 
-# -- block_counts vs DuckDB --------------------------------------------------
+# -- block_rows vs DuckDB ----------------------------------------------------
+# ``assert_equivalent`` compares sorted rows, duplicates included, so each
+# oracle checks the fetch returns every row of its blocks once.
 
 
-def test_block_counts_oracle(datasets):
+def test_block_rows_oracle(datasets):
     """A spark-mode lookahead batch: 512 blocks that wrap past the last
     block, as the round loop issues them."""
     ds = datasets["flights"]
     ids = np.arange(ds.n_blocks - 200, ds.n_blocks + 312) % ds.n_blocks
     assert_equivalent(
-        block_counts(ds.sdf, "origin", "day_of_week", ids),
-        "SELECT origin, day_of_week, COUNT(*) AS cnt FROM flights "
-        f"WHERE {BLOCK_COL} >= {ds.n_blocks - 200} OR {BLOCK_COL} < 312 GROUP BY ALL",
+        block_rows(ds.sdf, "origin", "day_of_week", ids),
+        "SELECT origin, day_of_week FROM flights "
+        f"WHERE {BLOCK_COL} >= {ds.n_blocks - 200} OR {BLOCK_COL} < 312",
         flights=ds.sdf.toPandas(),
     )
 
 
-def test_block_counts_filtered_oracle(datasets):
+def test_block_rows_filtered_oracle(datasets):
     ds = datasets["flights"]
-    pdf = ds.sdf.toPandas()
-    ids = [0, 5, 10, 11]
-    got = block_counts(ds.sdf, "origin", "day_of_week", block_ids=ids)
+    got = block_rows(ds.sdf, "origin", "day_of_week", block_ids=[0, 5, 10, 11])
     assert_equivalent(
         got,
-        "SELECT origin, day_of_week, COUNT(*) AS cnt FROM flights "
-        f"WHERE {BLOCK_COL} IN (0, 5, 10, 11) GROUP BY 1, 2",
-        flights=pdf,
+        "SELECT origin, day_of_week FROM flights "
+        f"WHERE {BLOCK_COL} IN (0, 5, 10, 11)",
+        flights=ds.sdf.toPandas(),
+    )
+
+
+def test_block_rows_partial_block_oracle(police_small):
+    """The final block holds 16 of 32 rows: it is fetched whole, and no
+    row of any other block comes with it."""
+    pq = police_small
+    z, x, last = pq.spec.z, pq.spec.x, pq.ds.n_blocks - 1
+    got = block_rows(pq.ds.sdf, z, x, block_ids=[last, 0, 93])
+    assert got.count() == 2 * pq.ds.tuples_per_block + 16
+    assert_equivalent(
+        got,
+        f"SELECT {z}, {x} FROM police WHERE {BLOCK_COL} IN ({last}, 0, 93)",
+        police=pq.ds.sdf.toPandas(),
     )
 
 

@@ -82,3 +82,22 @@ def test_table4_rejects_zero_runs_before_drawing(monkeypatch):
     monkeypatch.setattr(queries, "draw", lambda *a, **k: pytest.fail("drew a dataset"))
     with pytest.raises(ValueError, match="n_runs must be >= 1, got 0"):
         table4.rows(sf=0.001, n_runs=0, queries=["police-q1"])
+
+
+@pytest.mark.parametrize("sf", [0, -1, float("nan")])
+def test_bad_sf_raises_before_any_generator_runs(sf, monkeypatch):
+    """A scale factor that is not finite and > 0 is an error naming
+    ``sf``, from the draw, the Table 2 rows and the query walk alike;
+    none of them runs a generator or turns it into a 1-row dataset."""
+    for name, source in datasets.DATASETS.items():
+        monkeypatch.setitem(
+            datasets.DATASETS, name,
+            source._replace(generator=lambda *a, **k: pytest.fail("ran a generator")),
+        )
+    for call in (
+        lambda: datasets.draw("police", sf=sf),
+        lambda: table2.rows(sf=sf),
+        lambda: queries.for_each_query(lambda pq: pq, sf=sf),
+    ):
+        with pytest.raises(ValueError, match="sf must be finite and > 0"):
+            call()
