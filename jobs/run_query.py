@@ -3,36 +3,56 @@
 Usage::
 
     python jobs/run_query.py flights-q1 fastmatch [--sf 0.4] [--eps 0.25]
-        [--delta 0.01] [--lookahead 512] [--start N | --seed N]
+        [--delta 0.01] [--lookahead 512] [--start N | --seed N (default 0)]
         [--mode replay|spark]
 
 This is the hook for the paper's sweep figures (ε, δ, lookahead) —
 invoke it across a parameter grid and collect the printed metrics.
-δ and lookahead default to the paper's Table 4 settings.
+δ and lookahead default to the paper's Table 4 settings.  ``--seed s``
+starts where Table 4's first run with ``--seed s`` starts.  Bad arguments
+exit 2 before a dataset is drawn.
 """
 import argparse
 
-import numpy as np
-
-from repro.engine.runner import APPROX_VARIANTS, DELTA, LOOKAHEAD, run_scan, run_variant
+from repro.engine.runner import APPROX_VARIANTS, DELTA, LOOKAHEAD, run_scan, run_variant, start_blocks
 from repro.session import get_spark
+from repro.storage.blocks import count_blocks
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
+from repro.workloads.datasets import DEFAULT_TUPLES_PER_BLOCK, n_rows_at, scale_factor
 from repro.workloads.queries import QUERIES, load_dataset, prepare
+
+
+def checked(convert, ok, rule: str):
+    """An argparse type: ``convert(text)``, a usage error unless ``ok`` holds."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid float value: 'x'"
+    return parse
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("qid", choices=sorted(QUERIES))
     ap.add_argument("variant", choices=["scan", *APPROX_VARIANTS])
-    ap.add_argument("--sf", type=float, default=0.4)
-    ap.add_argument("--eps", type=float, default=None)
-    ap.add_argument("--delta", type=float, default=DELTA)
-    ap.add_argument("--lookahead", type=int, default=LOOKAHEAD)
+    ap.add_argument("--sf", type=scale_factor, default=0.4)
+    # the ranges HistSimState (ε, δ) and run_variant (lookahead) enforce
+    ap.add_argument("--eps", type=checked(float, lambda e: e > 0, "> 0"), default=None)
+    ap.add_argument("--delta", type=checked(float, lambda d: 0 < d < 1, "in (0, 1)"), default=DELTA)
+    ap.add_argument("--lookahead", type=checked(int, lambda n: n >= 1, ">= 1"), default=LOOKAHEAD)
     first_block = ap.add_mutually_exclusive_group()
     first_block.add_argument("--start", type=int, default=None)
-    first_block.add_argument("--seed", type=int, default=None)
+    first_block.add_argument("--seed", type=int, default=0)
     ap.add_argument("--mode", choices=["replay", "spark"], default="replay")
     args = ap.parse_args()
+    n_blocks = count_blocks(n_rows_at(args.sf), DEFAULT_TUPLES_PER_BLOCK)
+    start = int(start_blocks(n_blocks, args.seed, 1)[0]) if args.start is None else args.start
+    if not 0 <= start < n_blocks:
+        ap.error(f"--start must be in [0, {n_blocks}) at --sf {args.sf}, got {start}")
 
     spark = get_spark("run_query") if args.mode == "spark" else None
     spec = QUERIES[args.qid]
@@ -44,9 +64,6 @@ def main() -> None:
         print(f"scan: wall={s.wall:.4f}s rows={ds.n_rows}")
         print("top-k:", [pq.z_values[i] for i in s.topk_idx])
     else:
-        start = args.start
-        if start is None and args.seed is not None:
-            start = int(np.random.default_rng(args.seed).integers(0, ds.n_blocks))
         r = run_variant(
             pq, args.variant, eps=args.eps, delta=args.delta,
             lookahead=args.lookahead, start_block=start, mode=args.mode,

@@ -2,11 +2,12 @@
 import argparse
 
 from repro.tables import table3
+from repro.workloads.datasets import scale_factor
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=0.4)
+    ap.add_argument("--sf", type=scale_factor, default=0.4)
     args = ap.parse_args()
     print(table3.format_table(table3.rows(sf=args.sf)))
 

@@ -13,12 +13,13 @@ import argparse
 
 from repro.engine.runner import APPROX_VARIANTS
 from repro.tables.table4 import DEFAULT_RUNS, PAPER_TABLE4, format_table, rows
+from repro.workloads.datasets import scale_factor
 from repro.workloads.queries import QUERIES
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=0.4)
+    ap.add_argument("--sf", type=scale_factor, default=0.4)
     ap.add_argument("--runs", type=int, default=DEFAULT_RUNS)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--queries", nargs="+", default=None, choices=sorted(QUERIES))

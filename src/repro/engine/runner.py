@@ -36,7 +36,7 @@ codes once when it was built; the spark fetch guards each value it
 decodes), so both modes make identical decisions and read identical
 blocks (tested).
 
-The loop walks blocks sequentially from a given (or random) start with
+The loop walks blocks sequentially from the caller's start block with
 wraparound — the paper's "linear scan of the shuffled data starting
 from any point".  A candidate whose every tuple has been read (n_i = N_i)
 is exhausted (its histogram is exact → δ_i = 0), which is how a run that
@@ -47,7 +47,9 @@ or ``"max_delta"`` (SlowMatch's max δ_i ≤ δ/|V_Z|).  A pruned run can
 meet its criterion on its last batch, having skipped the blocks of
 settled candidates; it reports the criterion.  If a pruned run considers
 every block without meeting it (a candidate became active again after
-its blocks were skipped), it reports ``"unmet"``.
+its blocks were skipped), it reports ``"unmet"``.  A run is a function
+of its start block; :func:`start_blocks` is the one rule that turns a
+seed into start blocks.
 """
 from __future__ import annotations
 
@@ -86,36 +88,45 @@ DELTA = 0.01
 LOOKAHEAD = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
-    """Outcome + counters of one approximate run."""
+    """Outcome + counters of one approximate run, built once it has
+    stopped; its arrays are read-only."""
 
     eps: float
     delta: float
     start_block: int
     topk_idx: np.ndarray           # returned matching set M (indices)
     tau_est: np.ndarray            # final distance estimates τ_i
-    est_counts: np.ndarray = field(repr=False, default=None)  # final r_i
-    delta_upper: float = float("nan")
-    stop_reason: str = ""          # "exhausted" | "sum_delta" | "max_delta" | "unmet"
-    tuples_read: int = 0
-    blocks_read: int = 0
-    blocks_considered: int = 0
-    n_batches: int = 0
-    n_stat_iters: int = 0
-    time_stats: float = 0.0        # measured HistSim iteration time (s)
-    time_decide: float = 0.0       # measured block-selection time (s)
-    time_fetch: float = 0.0        # measured fetch time (s): spark job or replay gather
-    wall: float = 0.0              # the whole run after argument checks (s)
+    est_counts: np.ndarray = field(repr=False)  # final r_i
+    delta_upper: float
+    stop_reason: str               # "exhausted" | "sum_delta" | "max_delta" | "unmet"
+    tuples_read: int
+    blocks_read: int
+    blocks_considered: int
+    n_batches: int
+    n_stat_iters: int
+    time_stats: float              # measured HistSim iteration time (s)
+    time_decide: float             # measured block-selection time (s)
+    time_fetch: float              # measured fetch time (s): spark job or replay gather
+    wall: float                    # the whole run after argument checks (s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanResult:
-    """The exact baseline: one count over every row, measured wall time."""
+    """The exact baseline: one count over every row, measured wall time;
+    its arrays are read-only."""
 
     topk_idx: np.ndarray
     tau: np.ndarray
     wall: float
+
+
+def start_blocks(n_blocks: int, seed: int, n: int) -> np.ndarray:
+    """The start blocks of ``n`` runs seeded by ``seed``, uniform over the
+    ``n_blocks`` blocks: Table 4's runs start there, and ``jobs/run_query.py
+    --seed`` at the first."""
+    return np.random.default_rng(seed).integers(0, n_blocks, size=n)
 
 
 def run_variant(
@@ -125,10 +136,11 @@ def run_variant(
     eps: float | None = None,
     delta: float = DELTA,
     lookahead: int = LOOKAHEAD,
-    start_block: int | None = None,
+    start_block: int,
     mode: str = "replay",
 ) -> RunResult:
-    """Run one approximate variant to termination (or data exhaustion)."""
+    """Run one approximate variant from ``start_block`` to termination (or
+    data exhaustion)."""
     if variant not in APPROX_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(APPROX_VARIANTS)}")
     if mode not in ("replay", "spark"):
@@ -138,8 +150,6 @@ def run_variant(
     spec = APPROX_VARIANTS[variant]
     eps = float(pq.spec.eps if eps is None else eps)
     n_blocks = pq.ds.n_blocks
-    if start_block is None:
-        start_block = int(np.random.default_rng().integers(0, n_blocks))
     if not 0 <= start_block < n_blocks:
         raise ValueError(f"start_block must be in [0, {n_blocks}), got {start_block}")
     if mode == "spark":  # a first read of sdf builds it: keep that untimed
@@ -152,47 +162,53 @@ def run_variant(
 
     order = np.roll(np.arange(n_blocks, dtype=np.int64), -start_block)
     batch_size = 1 if spec.per_block else lookahead
-    res = RunResult(eps=eps, delta=delta, start_block=start_block, topk_idx=None, tau_est=None)
-    pos = 0
+    pos = n_batches = tuples_read = blocks_read = 0
+    time_decide = time_fetch = time_stats = 0.0
     terminated = False
     while pos < n_blocks and not terminated:
         batch = order[pos : pos + batch_size]
         pos += len(batch)
-        res.n_batches += 1
-        res.blocks_considered += len(batch)
+        n_batches += 1
 
         t0 = time.perf_counter()
         to_read = batch[mark_lookahead(pq.bitmap_t, state.active(), batch)] if spec.prune else batch
-        res.time_decide += time.perf_counter() - t0
+        time_decide += time.perf_counter() - t0
         if len(to_read) == 0:
             continue
 
         t0 = time.perf_counter()
         cells = fetch(to_read)
-        res.time_fetch += time.perf_counter() - t0
+        time_fetch += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         state.merge(cells)
         state.iterate()
-        res.time_stats += time.perf_counter() - t0
+        time_stats += time.perf_counter() - t0
 
-        res.tuples_read += len(cells)
-        res.blocks_read += len(to_read)
+        tuples_read += len(cells)
+        blocks_read += len(to_read)
         terminated = state.terminated(spec.criterion)
 
-    res.topk_idx = state.topk_indices()
-    res.wall = time.perf_counter() - wall0
-    if res.tuples_read == pq.ds.n_rows:
-        res.stop_reason = "exhausted"
+    topk_idx = state.topk_indices()
+    wall = time.perf_counter() - wall0
+    if tuples_read == pq.ds.n_rows:
+        stop_reason = "exhausted"
     elif terminated:
-        res.stop_reason = spec.criterion
+        stop_reason = spec.criterion
     else:
-        res.stop_reason = "unmet"
-    res.n_stat_iters = state.n_iterations
-    res.tau_est = state.tau
-    res.est_counts = state.counts
-    res.delta_upper = state.delta_upper
-    return res
+        stop_reason = "unmet"
+    # Read-only here, not in a __post_init__: perfbench/run.py keeps traced
+    # runs as dataclasses.replace(res, topk_idx=None, ...).
+    for a in (topk_idx, state.tau, state.counts):
+        a.flags.writeable = False
+    return RunResult(
+        eps=eps, delta=delta, start_block=start_block,
+        topk_idx=topk_idx, tau_est=state.tau, est_counts=state.counts,
+        delta_upper=state.delta_upper, stop_reason=stop_reason,
+        tuples_read=tuples_read, blocks_read=blocks_read, blocks_considered=pos,
+        n_batches=n_batches, n_stat_iters=state.n_iterations,
+        time_stats=time_stats, time_decide=time_decide, time_fetch=time_fetch, wall=wall,
+    )
 
 
 def run_scan(pq: PreparedQuery) -> ScanResult:
@@ -209,4 +225,5 @@ def run_scan(pq: PreparedQuery) -> ScanResult:
     tau = l1_distances(counts, pq.target)
     topk = np.argsort(tau, kind="stable")[: pq.spec.k]
     wall = time.perf_counter() - t0
+    topk.flags.writeable = tau.flags.writeable = False
     return ScanResult(topk_idx=topk, tau=tau, wall=wall)

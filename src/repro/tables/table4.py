@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.engine.runner import APPROX_VARIANTS, RunResult, run_scan, run_variant
+from repro.engine.runner import APPROX_VARIANTS, RunResult, run_scan, run_variant, start_blocks
 from repro.tables.metrics import delta_d, guarantee1_satisfied, guarantee2_satisfied
 from repro.workloads.queries import PreparedQuery, for_each_query
 
@@ -37,7 +37,7 @@ PAPER_TABLE4 = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariantSummary:
     """Aggregates over the runs of one variant on one query."""
 
@@ -51,10 +51,10 @@ class VariantSummary:
     guarantee_violations: int
     delta_d_mean: float
     stop_reasons: Counter       # RunResult.stop_reason → number of runs
-    runs: list[RunResult] = field(repr=False, default_factory=list)
+    runs: tuple[RunResult, ...] = field(repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryExperiment:
     qid: str
     scan_seconds: float
@@ -78,8 +78,7 @@ def run_query_experiment(
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(0, pq.ds.n_blocks, size=n_runs)
+    starts = start_blocks(pq.ds.n_blocks, seed, n_runs)
     all_runs: dict[str, list[RunResult]] = {v: [] for v in APPROX_VARIANTS}
     scan_walls = []
     for s in starts:
@@ -108,7 +107,7 @@ def run_query_experiment(
             guarantee_violations=violations,
             delta_d_mean=float(np.mean(dds)),
             stop_reasons=Counter(r.stop_reason for r in runs),
-            runs=runs,
+            runs=tuple(runs),
         )
     return QueryExperiment(qid=pq.spec.qid, scan_seconds=scan_seconds, variants=summaries)
 

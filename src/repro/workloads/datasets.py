@@ -28,6 +28,7 @@ the Spark relation from a loaded dataset's codes; :func:`generate` is
 """
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -437,6 +438,17 @@ def n_rows_at(sf: float) -> int:
     if not (0 < sf < np.inf):
         raise ValueError(f"sf must be finite and > 0, got {sf}")
     return max(1, int(N_ROWS_PER_SF * sf))
+
+
+def scale_factor(text: str) -> float:
+    """``text`` as a scale factor that :func:`n_rows_at` accepts: the jobs'
+    ``--sf`` type, so that a bad one is a usage error before any draw."""
+    sf = float(text)
+    try:
+        n_rows_at(sf)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return sf
 
 
 def draw(name: str, *, sf: float, seed: int | None = None) -> tuple[dict, DatasetMeta]:

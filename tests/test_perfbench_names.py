@@ -1,19 +1,24 @@
-"""The program names the benchmark wraps or reads still exist.
+"""The program names the benchmark wraps or reads, and the calls it
+makes, still exist.
 
 ``perfbench/spans.py`` wraps its ``TARGETS`` by name and reads index
 fields of each prepared query, and ``perfbench/run.py`` reads fields of
-each prepared query and loaded dataset; a name deleted from the program
-would otherwise break only a benchmark run.  The modules are read or
-compiled from their source, so the checks write nothing under
-``perfbench/``.
+each prepared query and loaded dataset, calls the runner and the loaders
+with keywords, and copies traced runs with ``dataclasses.replace``; a
+name deleted or a signature changed in the program would otherwise break
+only a benchmark run.  The modules are read or compiled from their
+source, so the checks write nothing under ``perfbench/``.
 """
 import ast
+import dataclasses
+import inspect
 import types
 from pathlib import Path
 
 import numpy as np
 
 from repro.engine import runner
+from repro.workloads import datasets, queries
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 RUN = SPANS.with_name("run.py")
@@ -98,3 +103,37 @@ def test_tracer_records_statistics_spans(flights_pq):
         assert names.count("core.iterate") == r.n_stat_iters
         for owner, attr, fn in saved:
             assert owner.__dict__[attr] is fn, attr
+
+
+def test_benchmark_calls_bind():
+    """Every call ``perfbench/run.py`` makes to ``run_variant``,
+    ``run_scan``, ``load_dataset`` or ``generate`` binds to the current
+    signature: its positional and keyword arguments, by name."""
+    functions = {f.__name__: f for f in (runner.run_variant, runner.run_scan,
+                                         queries.load_dataset, datasets.generate)}
+    seen = set()
+    for node in ast.walk(ast.parse(RUN.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name not in functions:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(k.arg for k in node.keywords), ast.unparse(node)
+        inspect.signature(functions[name]).bind(
+            *node.args, **{k.arg: k.value for k in node.keywords})
+        seen.add(name)
+    assert seen == set(functions)
+
+
+def test_traced_copy_of_a_run(flights_pq):
+    """The traced benchmark keeps each run as
+    ``dataclasses.replace(res, topk_idx=None, tau_est=None,
+    est_counts=None)``: the copy keeps the counters, and the run keeps
+    its arrays."""
+    res = runner.run_variant(flights_pq, "fastmatch", start_block=3)
+    kept = dataclasses.replace(res, topk_idx=None, tau_est=None, est_counts=None)
+    assert kept.topk_idx is kept.tau_est is kept.est_counts is None
+    assert (kept.tuples_read, kept.blocks_read, kept.n_stat_iters) == (
+        res.tuples_read, res.blocks_read, res.n_stat_iters)
+    assert isinstance(res.topk_idx, np.ndarray)

@@ -6,22 +6,18 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.distance import normalize_target
-from repro.engine.runner import APPROX_VARIANTS, run_scan, run_variant
+from repro.engine.runner import APPROX_VARIANTS, run_scan, run_variant, start_blocks
 from repro.storage.blocks import BLOCK_COL
 from repro.tables.metrics import (
     delta_d,
     guarantee1_satisfied,
     guarantee2_satisfied,
 )
+from repro.tables.table4 import run_query_experiment
 from repro.workloads.queries import QUERIES, load_dataset, prepare
 from tests.test_histsim import full_recompute
 
 VARIANTS = sorted(APPROX_VARIANTS)
-
-
-def seeded_start(pq, seed: int) -> int:
-    """The start block ``jobs/run_query.py --seed`` draws."""
-    return int(np.random.default_rng(seed).integers(0, pq.ds.n_blocks))
 
 
 # -- basics ------------------------------------------------------------------
@@ -29,17 +25,23 @@ def seeded_start(pq, seed: int) -> int:
 
 def test_unknown_variant_raises(flights_pq):
     with pytest.raises(ValueError):
-        run_variant(flights_pq, "turbomatch")
+        run_variant(flights_pq, "turbomatch", start_block=0)
 
 
 def test_bad_mode_raises(flights_pq):
     with pytest.raises(ValueError):
-        run_variant(flights_pq, "fastmatch", mode="dask")
+        run_variant(flights_pq, "fastmatch", start_block=0, mode="dask")
 
 
 def test_bad_lookahead_raises(flights_pq):
     with pytest.raises(ValueError):
-        run_variant(flights_pq, "fastmatch", lookahead=0)
+        run_variant(flights_pq, "fastmatch", start_block=0, lookahead=0)
+
+
+def test_start_block_is_required(flights_pq):
+    """A run is a function of its start block: none is drawn for it."""
+    with pytest.raises(TypeError, match="start_block"):
+        run_variant(flights_pq, "fastmatch")
 
 
 def test_bad_start_raises(flights_pq):
@@ -50,7 +52,7 @@ def test_bad_start_raises(flights_pq):
 def test_same_start_is_deterministic(flights_pq):
     """Two runs from one start block read the same blocks and return the
     same answer, counts and bound."""
-    start = seeded_start(flights_pq, 5)
+    start = int(start_blocks(flights_pq.ds.n_blocks, 5, 1)[0])
     a = run_variant(flights_pq, "fastmatch", start_block=start)
     b = run_variant(flights_pq, "fastmatch", start_block=start)
     assert a.start_block == b.start_block == start
@@ -58,6 +60,26 @@ def test_same_start_is_deterministic(flights_pq):
     np.testing.assert_array_equal(a.topk_idx, b.topk_idx)
     np.testing.assert_array_equal(a.est_counts, b.est_counts)
     assert a.delta_upper == b.delta_upper
+
+
+def test_records_are_frozen_and_read_only(prepared):
+    """A run's record, the Scan's, and Table 4's summaries of runs are
+    complete when returned: no field has a default, rebinding any field
+    raises, and writing into any of their arrays raises."""
+    pq = prepared["police-q1"]
+    exp = run_query_experiment(pq, n_runs=1, seed=0)
+    summary = exp.variants["fastmatch"]
+    (run,) = summary.runs
+    scan = run_scan(pq)
+    for record in (run, scan, summary, exp):
+        for f in dataclasses.fields(record):
+            assert f.default is f.default_factory is dataclasses.MISSING, f.name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+    assert isinstance(summary.runs, tuple)
+    for a in (run.topk_idx, run.tau_est, run.est_counts, scan.topk_idx, scan.tau):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 # -- counters & termination --------------------------------------------------
@@ -233,7 +255,7 @@ def test_spark_paths_reject_null_and_unseen_values(column, value, prepared, spar
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_guarantees_hold(qid, variant, prepared):
     pq = prepared[qid]
-    r = run_variant(pq, variant, start_block=seeded_start(pq, 42))
+    r = run_variant(pq, variant, start_block=int(start_blocks(pq.ds.n_blocks, 42, 1)[0]))
     assert guarantee1_satisfied(r.topk_idx, pq.tau_star, pq.spec.k, r.eps)
     assert guarantee2_satisfied(r.topk_idx, r.est_counts, pq.exact_counts, r.eps)
     assert delta_d(r.topk_idx, pq.tau_star, pq.spec.k) < 0.5
@@ -263,7 +285,8 @@ def test_replay_needs_no_spark():
     for qid in ("police-q1", "police-q2", "police-q3"):
         pq = prepare(ds, QUERIES[qid])
         for variant in VARIANTS:
-            r = run_variant(pq, variant, start_block=seeded_start(pq, 1), mode="replay")
+            start = int(start_blocks(pq.ds.n_blocks, 1, 1)[0])
+            r = run_variant(pq, variant, start_block=start, mode="replay")
             assert guarantee1_satisfied(r.topk_idx, pq.tau_star, pq.spec.k, r.eps)
         np.testing.assert_array_equal(run_scan(pq).topk_idx, pq.true_topk())
     assert "sdf" not in vars(ds)
